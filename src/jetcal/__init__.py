@@ -12,11 +12,10 @@ from .errors import (BaselineUndefinedError, ConfigError, DataError,
                      DegenerateDataError, EmptyOverlapError,
                      InsufficientDataError, InvalidReadingError, JetcalError,
                      NoEvaluableDataError, ParseError, ProfileError,
-                     SamplerFailedError, SchemaError, SensorReadError,
-                     SuspiciousFitError, UnitError, UnknownDeviceError)
-from .ingest import (DualChannelRecord, RailReading, parse_trace,
-                     parse_value_trace, power_from_channels, sum_rails,
-                     write_rails, write_trace)
+                     SamplerFailedError, SensorReadError, SuspiciousFitError,
+                     UnitError, UnknownDeviceError)
+from .ingest import (parse_trace, parse_value_trace, power_from_channels,
+                     write_trace)
 from .models import (BOOT_PEAK_CURRENT_MA, BUILTIN_MODELS, CalibrationModel,
                      EnergyReport, apply_model, apply_trace, get_model,
                      integrate_energy, invert_model, load_models, save_models)
@@ -39,7 +38,6 @@ __all__ = [
     "DataError",
     "DegenerateDataError",
     "DeviceProfile",
-    "DualChannelRecord",
     "EmptyOverlapError",
     "EnergyReport",
     "FitReport",
@@ -54,12 +52,10 @@ __all__ = [
     "PowerSample",
     "PowerTrace",
     "ProfileError",
-    "RailReading",
     "ReplayNodes",
     "SampleBuffer",
     "SamplerFailedError",
     "SamplerStats",
-    "SchemaError",
     "SensorReadError",
     "SuspiciousFitError",
     "UnitError",
@@ -86,7 +82,5 @@ __all__ = [
     "sample_once",
     "save_models",
     "save_profile",
-    "sum_rails",
-    "write_rails",
     "write_trace",
 ]

@@ -66,10 +66,6 @@ class UnitError(DataError):
     """Trace units do not match what the operation requires."""
 
 
-class SchemaError(DataError):
-    """Rail readings disagree on which rails exist."""
-
-
 class ParseError(DataError):
     """A trace file does not conform to its declared schema."""
 

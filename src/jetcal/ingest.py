@@ -8,66 +8,43 @@ microsecond timestamps:
                 timestamp_us,power_mw              (pre-computed power)
   rails_csv     timestamp_us,<rail1>_mw,<rail2>_mw,...
 
-The external variant is auto-detected from the header. Duplicate or
-out-of-order timestamps are rejected: they indicate a logging fault that
-averaging would silently mask. Floats are written with repr(), which
-round-trips exactly.
+The external variant is auto-detected from the header. rails_csv yields
+the board total, each row's rails summed left to right as the sensor's
+sum_rails mode adds them live. Duplicate or out-of-order timestamps are
+rejected: they indicate a logging fault that averaging would silently
+mask. A file with several faults fails with a ParseError naming the first
+bad line in file order. Floats are written with repr(), which round-trips
+exactly.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
-from dataclasses import dataclass
+from array import array
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError
 from .traces import PowerTrace
 
 DEFAULT_COIL_TURNS = 10
-
-INTERNAL_HEADER = ["timestamp_us", "power_mw"]
-EXTERNAL_CHANNEL_HEADER = ["timestamp_us", "voltage_v", "current_a"]
-CURRENT_HEADER = ["timestamp_us", "current_ma"]
-
 TRACE_FORMATS = ("internal_csv", "external_csv", "rails_csv")
 
-
-@dataclass(frozen=True)
-class DualChannelRecord:
-    """One oscilloscope sample: supply voltage and clamp current."""
-
-    timestamp_us: int
-    voltage_v: float
-    clamp_current_a: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.voltage_v) and math.isfinite(self.clamp_current_a)):
-            raise ValueError("channel values must be finite")
-        if self.voltage_v < 0:
-            raise ValueError(f"DC supply voltage must be >= 0, got {self.voltage_v}")
+# A header table maps each accepted header to one entry per value column:
+# the wording of that column's error for a negative value, or None where
+# negative values are allowed.
+_POWER = {("timestamp_us", "power_mw"): (None,)}
+_EXTERNAL = {("timestamp_us", "voltage_v", "current_a"):
+             ("DC supply voltage must be >= 0, got {}", None), **_POWER}
+_VALUE = {**_POWER, ("timestamp_us", "current_ma"): (None,)}
 
 
-@dataclass(frozen=True)
-class RailReading:
-    """Per-rail power readings taken at one instant."""
-
-    timestamp_us: int
-    rail_values_mw: dict[str, float]
-
-    def __post_init__(self):
-        if not self.rail_values_mw:
-            raise ValueError("at least one rail required")
-        for rail, value in self.rail_values_mw.items():
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"rail {rail!r} value must be finite and >= 0")
-
-
-def power_from_channels(records: list[DualChannelRecord],
+def power_from_channels(timestamps_us, volts, clamp_a,
                         coil_turns: int = DEFAULT_COIL_TURNS,
                         device: str = "unknown") -> PowerTrace:
-    """Convert voltage/current channel records to an external power trace.
+    """Convert voltage and clamp-current columns to an external power trace.
 
     The clamp sits around a coil of `coil_turns` windings, so it reads
     coil_turns times the conductor current; the true current is the clamp
@@ -76,153 +53,129 @@ def power_from_channels(records: list[DualChannelRecord],
     """
     if coil_turns < 1:
         raise ValueError(f"coil_turns must be >= 1, got {coil_turns}")
-    ts = np.array([r.timestamp_us for r in records], dtype=np.int64)
-    if len(ts) > 1 and not np.all(np.diff(ts) > 0):
-        raise ValueError("channel records must be sorted by strictly increasing timestamp")
-    volts = np.array([r.voltage_v for r in records], dtype=np.float64)
-    clamp = np.array([r.clamp_current_a for r in records], dtype=np.float64)
-    power_mw = volts * (clamp / coil_turns) * 1000.0
-    return PowerTrace(device, "external", "mW", ts, power_mw)
+    power_mw = np.multiply(volts, np.divide(clamp_a, coil_turns)) * 1000.0
+    return PowerTrace(device, "external", "mW", timestamps_us, power_mw)
 
 
-def sum_rails(readings: list[RailReading], device: str = "unknown") -> PowerTrace:
-    """Total board power as the per-timestamp sum over all rails."""
-    if not readings:
-        return PowerTrace(device, "internal", "mW",
-                          np.empty(0, np.int64), np.empty(0))
-    rail_set = frozenset(readings[0].rail_values_mw)
-    for i, r in enumerate(readings):
-        if frozenset(r.rail_values_mw) != rail_set:
-            raise SchemaError(
-                f"reading {i} has rails {sorted(r.rail_values_mw)}, "
-                f"expected {sorted(rail_set)}"
-            )
-    ts = np.array([r.timestamp_us for r in readings], dtype=np.int64)
-    totals = np.array([sum(r.rail_values_mw.values()) for r in readings])
-    return PowerTrace(device, "internal", "mW", ts, totals)
-
-
-def _read_rows(path):
+def _row_error(row, prev: int | None, header, signs) -> str | None:
+    """Wording of the first fault of a row known to be bad, cell by cell."""
+    if len(row) != len(header):
+        return f"expected {len(header)} columns, got {len(row)}"
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(path, None, f"cannot open: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise ParseError(path, None, "file is empty, expected a header row")
-    return rows
-
-
-def _parse_timestamp(cell: str, path, lineno: int, previous: int | None) -> int:
-    try:
-        ts = int(cell)
+        ts = int(row[0])
     except ValueError:
-        raise ParseError(path, lineno, f"timestamp {cell!r} is not an integer") from None
+        return f"timestamp {row[0]!r} is not an integer"
     if ts < 0:
-        raise ParseError(path, lineno, f"timestamp {ts} is negative")
-    if previous is not None and ts <= previous:
-        kind = "duplicate" if ts == previous else "out-of-order"
-        raise ParseError(path, lineno, f"{kind} timestamp {ts} (previous {previous})")
-    return ts
+        return f"timestamp {ts} is negative"
+    if prev is not None and ts <= prev:
+        kind = "duplicate" if ts == prev else "out-of-order"
+        return f"{kind} timestamp {ts} (previous {prev})"
+    if ts >= 2**63:
+        return f"timestamp {ts} is out of range"
+    for name, cell in zip(header[1:], row[1:]):
+        try:
+            value = float(cell)
+        except ValueError:
+            return f"{name} value {cell!r} is not numeric"
+        if not math.isfinite(value):
+            return f"{name} value {value} is not finite"
+    for cell, sign in zip(row[1:], signs):
+        if sign is not None and float(cell) < 0:
+            return sign.format(float(cell))
+    return None
 
 
-def _parse_float(cell: str, path, lineno: int, column: str) -> float:
+def _read_columns(path, schema_for, accepted):
+    """Header, int64 timestamps and an (n, k) float64 value matrix.
+
+    `schema_for(header)` returns the header's sign entries (see _POWER)
+    or None to reject it; `accepted` lists the headers for that error.
+    Rows are converted inline; the order, sign and finiteness checks then
+    run once over the columns, and the first bad line in file order is
+    raised as ParseError. Blank lines are skipped but still counted.
+    """
+    ts, flat = array("q"), array("d")   # timestamps; values row after row
+    blanks = []                         # data rows read before each blank line
+    failed = None                       # (line, message) that stopped the read
+    signs, k = (), 1                    # until the header is read
     try:
-        value = float(cell)
-    except ValueError:
-        raise ParseError(path, lineno, f"{column} value {cell!r} is not numeric") from None
-    if not math.isfinite(value):
-        raise ParseError(path, lineno, f"{column} value {value} is not finite")
-    return value
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(path, None, "file is empty, expected a header row")
+            header = tuple(c.strip() for c in header)
+            signs = schema_for(header)
+            if signs is None:
+                expected = " or ".join(",".join(h) for h in accepted)
+                raise ParseError(path, 1, f"expected header {expected}, "
+                                          f"got {','.join(header)}")
+            width, k = len(header), len(header) - 1
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    blanks.append(len(ts))
+                    continue
+                if len(row) == width:
+                    try:
+                        ts.append(int(row[0]))
+                        flat.extend(map(float, row[1:]))
+                        continue
+                    except (ValueError, OverflowError):
+                        del ts[len(flat) // k:]
+                        del flat[len(ts) * k:]
+                failed = (lineno, _row_error(row, ts[-1] if ts else None, header, signs))
+                break
+    except OSError as exc:
+        raise ParseError(path, None, f"cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        failed = (None, f"not UTF-8 text: cannot decode byte 0x{exc.object[exc.start]:02x}")
+    except csv.Error as exc:
+        failed = (reader.line_num, f"malformed CSV: {exc}")
+
+    t = np.array(ts, dtype=np.int64)
+    values = np.array(flat, dtype=np.float64).reshape(len(t), k)
+
+    bad = t < 0
+    bad[1:] |= t[1:] <= t[:-1]
+    bad |= ~np.isfinite(values).all(axis=1)
+    bad |= (values[:, [s is not None for s in signs]] < 0).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        row = [str(t[i])] + [repr(v) for v in values[i].tolist()]
+        line = i + 2 + bisect.bisect_right(blanks, i)
+        failed = (line, _row_error(row, int(t[i - 1]) if i else None, header, signs))
+    if failed is not None:
+        raise ParseError(path, *failed)
+    return header, t, values
 
 
-def _parse_two_column(rows, path, unit: str, source: str, device: str,
-                      value_column: str) -> PowerTrace:
-    ts_out = []
-    vals = []
-    prev: int | None = None
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(path, lineno, f"expected 2 columns, got {len(row)}")
-        prev = _parse_timestamp(row[0], path, lineno, prev)
-        ts_out.append(prev)
-        vals.append(_parse_float(row[1], path, lineno, value_column))
-    return PowerTrace(device, source, unit,
-                      np.array(ts_out, dtype=np.int64),
-                      np.array(vals, dtype=np.float64))
+def _rails_schema(header):
+    rails = header[1:]
+    if header[:1] != ("timestamp_us",) or not rails or len(set(rails)) != len(rails) or \
+            not all(c.endswith("_mw") and len(c) > 3 for c in rails):
+        return None
+    return tuple(f"rail {c[:-3]!r} value must be finite and >= 0" for c in rails)
 
 
 def parse_trace(path, fmt: str, device: str = "unknown",
-                coil_turns: int = DEFAULT_COIL_TURNS):
+                coil_turns: int = DEFAULT_COIL_TURNS) -> PowerTrace:
     """Parse a trace file into memory, validating the full schema.
 
-    Returns a PowerTrace for internal_csv and external_csv, and a list of
-    RailReading for rails_csv.
+    internal_csv gives an internal mW trace, external_csv an external mW
+    trace, and rails_csv the internal board total over all rails.
     """
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"format must be one of {TRACE_FORMATS}, got {fmt!r}")
-    rows = _read_rows(path)
-    header = [c.strip() for c in rows[0]]
-
-    if fmt == "internal_csv":
-        if header != INTERNAL_HEADER:
-            raise ParseError(path, 1, f"expected header {','.join(INTERNAL_HEADER)}, "
-                                      f"got {','.join(header)}")
-        return _parse_two_column(rows, path, "mW", "internal", device, "power_mw")
-
-    if fmt == "external_csv":
-        if header == INTERNAL_HEADER:
-            trace = _parse_two_column(rows, path, "mW", "internal", device, "power_mw")
-            return trace.with_values(trace.values, source="external")
-        if header != EXTERNAL_CHANNEL_HEADER:
-            raise ParseError(
-                path, 1,
-                f"expected header {','.join(EXTERNAL_CHANNEL_HEADER)} or "
-                f"{','.join(INTERNAL_HEADER)}, got {','.join(header)}")
-        records = []
-        prev: int | None = None
-        for lineno, row in enumerate(rows[1:], start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(path, lineno, f"expected 3 columns, got {len(row)}")
-            prev = _parse_timestamp(row[0], path, lineno, prev)
-            volts = _parse_float(row[1], path, lineno, "voltage_v")
-            amps = _parse_float(row[2], path, lineno, "current_a")
-            try:
-                records.append(DualChannelRecord(prev, volts, amps))
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc)) from exc
-        return power_from_channels(records, coil_turns, device)
-
-    # rails_csv
-    if len(header) < 2 or header[0] != "timestamp_us" or \
-            not all(c.endswith("_mw") and len(c) > 3 for c in header[1:]):
-        raise ParseError(path, 1,
-                         "expected header timestamp_us,<rail>_mw,... "
-                         f"got {','.join(header)}")
-    rail_names = [c[: -len("_mw")] for c in header[1:]]
-    readings = []
-    prev = None
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(path, lineno,
-                             f"expected {len(header)} columns, got {len(row)}")
-        prev = _parse_timestamp(row[0], path, lineno, prev)
-        values = {}
-        for name, cell in zip(rail_names, row[1:]):
-            values[name] = _parse_float(cell, path, lineno, f"{name}_mw")
-        try:
-            readings.append(RailReading(prev, values))
-        except ValueError as exc:
-            raise ParseError(path, lineno, str(exc)) from exc
-    return readings
+    if fmt == "rails_csv":
+        _, ts, values = _read_columns(path, _rails_schema,
+                                      [("timestamp_us", "<rail>_mw", "...")])
+        # Python's sum over the columns adds each row's rails left to right.
+        return PowerTrace(device, "internal", "mW", ts, sum(values.T))
+    table = _POWER if fmt == "internal_csv" else _EXTERNAL
+    _, ts, values = _read_columns(path, table.get, table)
+    if values.shape[1] == 2:
+        return power_from_channels(ts, values[:, 0], values[:, 1], coil_turns, device)
+    return PowerTrace(device, fmt.removesuffix("_csv"), "mW", ts, values[:, 0])
 
 
 def parse_value_trace(path, device: str = "unknown") -> PowerTrace:
@@ -231,41 +184,17 @@ def parse_value_trace(path, device: str = "unknown") -> PowerTrace:
     Accepts timestamp_us,power_mw (a mW trace) or timestamp_us,current_ma
     (a mA trace, e.g. a boot-current capture).
     """
-    rows = _read_rows(path)
-    header = [c.strip() for c in rows[0]]
-    if header == INTERNAL_HEADER:
-        return _parse_two_column(rows, path, "mW", "internal", device, "power_mw")
-    if header == CURRENT_HEADER:
-        return _parse_two_column(rows, path, "mA", "external", device, "current_ma")
-    raise ParseError(path, 1,
-                     f"expected header {','.join(INTERNAL_HEADER)} or "
-                     f"{','.join(CURRENT_HEADER)}, got {','.join(header)}")
+    header, ts, values = _read_columns(path, _VALUE.get, _VALUE)
+    source, unit = ("internal", "mW") if header in _POWER else ("external", "mA")
+    return PowerTrace(device, source, unit, ts, values[:, 0])
 
 
 def write_trace(trace: PowerTrace, path) -> None:
     """Write a mW trace as internal_csv or a mA trace as a current CSV."""
-    if trace.unit == "mW":
-        column = "power_mw"
-    elif trace.unit == "mA":
-        column = "current_ma"
-    else:
+    column = {"mW": "power_mw", "mA": "current_ma"}.get(trace.unit)
+    if column is None:
         raise ValueError(f"cannot serialize a {trace.unit} trace")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"timestamp_us,{column}\n")
-        for t, v in zip(trace.timestamps_us, trace.values):
-            fh.write(f"{int(t)},{float(v)!r}\n")
-
-
-def write_rails(readings: list[RailReading], path) -> None:
-    """Write rail readings back to rails_csv, preserving rail order."""
-    if not readings:
-        raise ValueError("cannot write an empty rail list")
-    rail_names = list(readings[0].rail_values_mw)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["timestamp_us"] + [f"{r}_mw" for r in rail_names]) + "\n")
-        for reading in readings:
-            if set(reading.rail_values_mw) != set(rail_names):
-                raise SchemaError("inconsistent rail sets while writing")
-            cells = [str(reading.timestamp_us)]
-            cells += [repr(float(reading.rail_values_mw[r])) for r in rail_names]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(f"{t},{v!r}\n" for t, v in
+                      zip(trace.timestamps_us.tolist(), trace.values.tolist()))

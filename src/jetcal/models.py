@@ -15,7 +15,7 @@ through with a warning flag so the caller decides what to do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,23 +208,20 @@ def parse_model_line(line: str, path="<string>", lineno: int | None = None) -> C
 
 def load_models(path) -> dict[str, CalibrationModel]:
     """Read a text model file into a device-keyed registry dict."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
+                         f"not UTF-8 text: cannot decode byte 0x{data[exc.start]:02x}") from None
     registry: dict[str, CalibrationModel] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            model = parse_model_line(line, path, lineno)
-            registry[model.device] = model
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        model = parse_model_line(line, path, lineno)
+        registry[model.device] = model
     if not registry:
         raise ParseError(path, None, "model file contains no records")
     return registry
-
-
-def as_fitted(model: CalibrationModel, device: str | None = None) -> CalibrationModel:
-    """Re-tag a model as fitted, optionally renaming the device."""
-    return replace(
-        model,
-        device=model.device if device is None else device,
-        provenance="fitted",
-    )

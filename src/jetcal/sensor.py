@@ -13,7 +13,6 @@ be tested with no hardware attached.
 from __future__ import annotations
 
 import bisect
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -285,15 +284,22 @@ def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
 
 # Profile files are `key = value` lines; list values are comma-separated.
 _LIST_KEYS = ("node_paths", "rail_names")
+_NUMBER_KEYS = {"coil_turns": int, "time_scale": float}
 _PROFILE_KEYS = ("device", "mode", "node_paths", "rail_names",
                  "coil_turns", "unit", "time_scale")
 
 
 def load_profile(path) -> DeviceProfile:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ProfileError(f"cannot read profile {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ProfileError(f"{path}:{line}: not UTF-8 text: "
+                           f"cannot decode byte 0x{data[exc.start]:02x}") from None
     fields: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -304,10 +310,13 @@ def load_profile(path) -> DeviceProfile:
             raise ProfileError(f"{path}:{lineno}: unexpected line {raw!r}")
         if key in _LIST_KEYS:
             fields[key] = tuple(p.strip() for p in value.split(",") if p.strip())
-        elif key == "coil_turns":
-            fields[key] = int(value)
-        elif key == "time_scale":
-            fields[key] = float(value)
+        elif key in _NUMBER_KEYS:
+            convert = _NUMBER_KEYS[key]
+            try:
+                fields[key] = convert(value)
+            except ValueError:
+                raise ProfileError(f"{path}:{lineno}: {key} {value!r} is not "
+                                   f"a valid {convert.__name__}") from None
         else:
             fields[key] = value
     for required in ("device", "mode", "node_paths"):
@@ -351,14 +360,3 @@ def resolve_profile(name_or_path: str, search_env: str = PROFILE_PATH_ENV) -> Pa
             return candidate
     raise ProfileError(f"profile {name_or_path!r} not found "
                        f"(searched literal path and ${search_env})")
-
-
-def stop_after(duration_s: float) -> Callable[[], bool]:
-    """Stop predicate that fires once `duration_s` has elapsed."""
-    deadline = time.monotonic() + duration_s
-    return lambda: time.monotonic() >= deadline
-
-
-def make_stop_event() -> threading.Event:
-    """Convenience for callers driving run_sampler from another thread."""
-    return threading.Event()

@@ -97,7 +97,7 @@ def synthetic_pair(model: CalibrationModel, duration_us: int = 120_000_000,
     truth = random_power_profile(duration_us, rng, lo_mw, hi_mw)
 
     int_ts = irregular_timestamps(duration_us, rng)
-    raw = invert_model_array(model, truth.at(int_ts))
+    raw = invert_model(model, truth.at(int_ts))
     raw = raw * (1.0 + internal_noise * rng.standard_normal(len(raw)))
 
     ext_ts = np.arange(0, duration_us + 1, external_interval_us, dtype=np.int64)
@@ -107,11 +107,6 @@ def synthetic_pair(model: CalibrationModel, duration_us: int = 120_000_000,
     internal = PowerTrace(model.device, "internal", "mW", int_ts, raw)
     external = PowerTrace(model.device, "external", "mW", ext_ts, ext)
     return internal, external, truth
-
-
-def invert_model_array(model: CalibrationModel, true_mw: np.ndarray) -> np.ndarray:
-    """Vectorized counterpart of invert_model for generation."""
-    return (np.asarray(true_mw, dtype=np.float64) - model.intercept_mw) / model.slope
 
 
 def boot_current_trace(peak_ma: float, device: str = "unknown",

@@ -4,15 +4,14 @@ Timestamps are integer microseconds since the epoch so that two streams
 recorded on a shared network clock can be aligned without float rounding.
 Values are float64 in the trace's unit (mW, mA or V).
 
-PowerTrace stores samples as two parallel read-only numpy arrays. It
-behaves as an immutable ordered sequence of PowerSample and is safe to
-share across threads.
+PowerTrace stores samples as two parallel read-only numpy arrays and is
+safe to share across threads. PowerSample is one reading, as the live
+sampler delivers it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -80,13 +79,6 @@ class PowerTrace:
 
     def __len__(self) -> int:
         return len(self.timestamps_us)
-
-    def __iter__(self) -> Iterator[PowerSample]:
-        for t, v in zip(self.timestamps_us, self.values):
-            yield PowerSample(int(t), float(v))
-
-    def sample(self, i: int) -> PowerSample:
-        return PowerSample(int(self.timestamps_us[i]), float(self.values[i]))
 
     @property
     def span_us(self) -> int:
