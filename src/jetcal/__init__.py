@@ -21,10 +21,8 @@ from .models import (BOOT_PEAK_CURRENT_MA, BUILTIN_MODELS, CalibrationModel,
                      integrate_energy, invert_model, load_models, save_models)
 from .regression import FitReport, PairedDataset, evaluate, fit, fit_report_text
 from .sensor import (DeviceProfile, ReplayNodes, SampleBuffer, SamplerStats,
-                     load_profile, replay_backend, run_sampler, sample_once,
-                     save_profile)
-from .signal import (MovingAverageFilter, PeakReport, align, detect_peak,
-                     moving_average)
+                     load_profile, run_sampler, sample_once)
+from .signal import PeakReport, align, detect_peak, moving_average
 from .traces import PowerSample, PowerTrace, canonical_device_id
 
 __version__ = "0.1.0"
@@ -44,7 +42,6 @@ __all__ = [
     "InsufficientDataError",
     "InvalidReadingError",
     "JetcalError",
-    "MovingAverageFilter",
     "NoEvaluableDataError",
     "PairedDataset",
     "ParseError",
@@ -77,10 +74,8 @@ __all__ = [
     "parse_trace",
     "parse_value_trace",
     "power_from_channels",
-    "replay_backend",
     "run_sampler",
     "sample_once",
     "save_models",
-    "save_profile",
     "write_trace",
 ]

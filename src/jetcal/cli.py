@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -25,6 +26,26 @@ EXIT_OK = 0
 EXIT_GATE_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
+
+
+def _number(kind, ok, what):
+    """argparse type: parse with kind, then reject values failing ok."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_positive_int = _number(int, lambda v: v > 0, "a positive integer")
+_non_negative_int = _number(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _number(float, lambda v: math.isfinite(v) and v > 0,
+                          "a positive finite number")
+_finite_float = _number(float, math.isfinite, "a finite number")
 
 
 def _emit(result: dict, as_json: bool) -> None:
@@ -120,6 +141,11 @@ def cmd_record(args) -> int:
     if len(trace) == 0:
         raise DataError("sampler produced no samples")
     ingest.write_trace(trace, args.out)
+    if stats.dropped:
+        raise DataError(
+            f"sample buffer overflowed: dropped the oldest {stats.dropped} of "
+            f"{stats.samples_taken} samples taken; {args.out} holds the last {len(trace)}"
+        )
     result = {
         "device": profile.device,
         "samples_taken": stats.samples_taken,
@@ -228,16 +254,16 @@ def cmd_peak(args) -> int:
 
 
 def _add_pipeline_flags(sub) -> None:
-    sub.add_argument("--window-us", type=int, default=sig.DEFAULT_WINDOW_US,
+    sub.add_argument("--window-us", type=_positive_int, default=sig.DEFAULT_WINDOW_US,
                      dest="window_us",
                      help="moving-average window in us (default: 100000)")
-    sub.add_argument("--max-gap-us", type=int, default=sig.DEFAULT_MAX_GAP_US,
+    sub.add_argument("--max-gap-us", type=_non_negative_int, default=sig.DEFAULT_MAX_GAP_US,
                      dest="max_gap_us",
                      help="max staleness of bracketing external samples (default: 10000)")
-    sub.add_argument("--floor-mw", type=float,
+    sub.add_argument("--floor-mw", type=_finite_float,
                      default=regression.DEFAULT_LOW_POWER_FLOOR_MW, dest="floor_mw",
                      help="exclude pairs below this external power from %% metrics")
-    sub.add_argument("--coil-turns", type=int, default=ingest.DEFAULT_COIL_TURNS,
+    sub.add_argument("--coil-turns", type=_positive_int, default=ingest.DEFAULT_COIL_TURNS,
                      dest="coil_turns",
                      help="coil windings under the current clamp (default: 10)")
 
@@ -261,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="device profile path or name (searched via "
                         f"${sensor.PROFILE_PATH_ENV})")
     stop = p.add_mutually_exclusive_group(required=True)
-    stop.add_argument("--duration", type=float, help="seconds to record")
+    stop.add_argument("--duration", type=_positive_float, help="seconds to record")
     stop.add_argument("--exec", dest="exec_cmd", metavar="CMD",
                       help="record for the lifetime of this workload command")
-    p.add_argument("--max-rate-hz", type=float, default=None, dest="max_rate_hz",
+    p.add_argument("--max-rate-hz", type=_positive_float, default=None, dest="max_rate_hz",
                    help="throttle the sampling loop (default: unthrottled)")
     p.add_argument("--out", required=True, help="output internal_csv path")
     p.set_defaults(func=cmd_record)
@@ -308,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("peak", "characterize the largest excursion of a trace")
     p.add_argument("input_csv")
-    p.add_argument("--threshold", type=float, required=True,
+    p.add_argument("--threshold", type=_finite_float, required=True,
                    help="excursion threshold in the trace's unit")
     p.set_defaults(func=cmd_peak)
 

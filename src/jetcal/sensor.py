@@ -153,12 +153,6 @@ class ReplayNodes:
         return float(self.traces[i].values[max(pos, 0)])
 
 
-def replay_backend(trace: PowerTrace, time_scale: float = 1.0,
-                   clock: Callable[[], int] = time.monotonic_ns) -> ReplayNodes:
-    """Single-node replay of one trace through the live-sampling interface."""
-    return ReplayNodes([trace], time_scale, clock)
-
-
 def open_nodes(profile: DeviceProfile):
     """Node reader for a profile: replay nodes or real filesystem nodes."""
     replay = [p.startswith(REPLAY_PREFIX) for p in profile.node_paths]
@@ -323,19 +317,6 @@ def load_profile(path) -> DeviceProfile:
         if required not in fields:
             raise ProfileError(f"{path}: profile missing {required!r}")
     return DeviceProfile(**fields)  # type: ignore[arg-type]
-
-
-def save_profile(profile: DeviceProfile, path) -> None:
-    lines = [
-        f"device = {profile.device}",
-        f"mode = {profile.mode}",
-        f"node_paths = {','.join(profile.node_paths)}",
-        f"rail_names = {','.join(profile.rail_names)}",
-        f"coil_turns = {profile.coil_turns}",
-        f"unit = {profile.unit}",
-        f"time_scale = {profile.time_scale!r}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def resolve_profile(name_or_path: str, search_env: str = PROFILE_PATH_ENV) -> Path:

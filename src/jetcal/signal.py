@@ -1,7 +1,6 @@
-"""Time-series conditioning: moving-average filter, alignment, peak detection.
+"""Time-series conditioning: moving average, alignment, peak detection.
 
-The moving average uses a causal (trailing) window so the same code path
-serves live sampling and offline batch processing. The window at output
+The moving average uses a causal (trailing) window: the window at output
 time t covers timestamps in (t - window_us, t]; samples earlier than one
 full window after the trace start are dropped rather than averaged over a
 partial window, because partial windows have inflated variance.
@@ -10,7 +9,6 @@ partial window, because partial windows have inflated variance.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,73 +16,17 @@ import numpy as np
 from .errors import (BaselineUndefinedError, EmptyOverlapError,
                      InsufficientDataError, UnitError)
 from .regression import PairedDataset
-from .traces import PowerSample, PowerTrace
-
-# Streaming sums are recomputed exactly after this many pushes so float
-# drift stays bounded no matter how long the filter runs.
-_RESUM_INTERVAL = 1_000_000
+from .traces import PowerTrace
 
 DEFAULT_WINDOW_US = 100_000
 DEFAULT_MAX_GAP_US = 10_000
 
 
-class MovingAverageFilter:
-    """Incremental trailing-window mean over irregularly spaced samples.
-
-    Single-owner: feed it from one thread at a time. push() returns the
-    filtered sample once the warm-up window has elapsed, else None.
-
-    The running sum uses Neumaier compensation plus a periodic exact
-    recomputation, so emitted means match a brute-force per-window mean
-    to within 1e-12 relative indefinitely.
-    """
-
-    def __init__(self, window_us: int):
-        if window_us <= 0:
-            raise ValueError(f"window must be positive, got {window_us}")
-        self.window_us = int(window_us)
-        self._window: deque[tuple[int, float]] = deque()
-        self._sum = 0.0
-        self._comp = 0.0
-        self._start_us: int | None = None
-        self._last_us: int | None = None
-        self._pushes = 0
-
-    def _add(self, x: float) -> None:
-        t = self._sum + x
-        if abs(self._sum) >= abs(x):
-            self._comp += (self._sum - t) + x
-        else:
-            self._comp += (x - t) + self._sum
-        self._sum = t
-
-    def push(self, timestamp_us: int, value: float) -> PowerSample | None:
-        timestamp_us = int(timestamp_us)
-        if self._last_us is not None and timestamp_us <= self._last_us:
-            raise ValueError(
-                f"timestamps must be strictly increasing "
-                f"({timestamp_us} after {self._last_us})"
-            )
-        if self._start_us is None:
-            self._start_us = timestamp_us
-        self._last_us = timestamp_us
-
-        self._window.append((timestamp_us, value))
-        self._add(value)
-        cutoff = timestamp_us - self.window_us
-        while self._window[0][0] <= cutoff:
-            _, old = self._window.popleft()
-            self._add(-old)
-
-        self._pushes += 1
-        if self._pushes % _RESUM_INTERVAL == 0:
-            self._sum = math.fsum(v for _, v in self._window)
-            self._comp = 0.0
-
-        if timestamp_us < self._start_us + self.window_us:
-            return None
-        mean = (self._sum + self._comp) / len(self._window)
-        return PowerSample(timestamp_us, mean)
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's TwoSum, elementwise: s = fl(a + b) and err with s + err == a + b."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
 
 
 def moving_average(trace: PowerTrace, window_us: int = DEFAULT_WINDOW_US) -> PowerTrace:
@@ -93,22 +35,35 @@ def moving_average(trace: PowerTrace, window_us: int = DEFAULT_WINDOW_US) -> Pow
     Output keeps the timestamps of the input samples it was emitted for;
     warm-up samples (the first window_us of the trace) are dropped. A
     window longer than the trace span therefore yields an empty trace.
+
+    Each window sum is a difference of compensated prefix sums: a plain
+    cumsum plus the running sum of the exact rounding error of each of
+    its steps (TwoSum), so subtracting two long prefix sums loses nothing
+    to the length of the trace. The remaining error is second order in
+    machine epsilon; the means are checked against a correctly rounded
+    per-window mean to 1e-12 relative on traces of up to 2e6 samples.
     """
     if len(trace) == 0:
         raise InsufficientDataError("cannot filter an empty trace")
-    maf = MovingAverageFilter(window_us)
-    out_ts = []
-    out_vals = []
-    for t, v in zip(trace.timestamps_us, trace.values):
-        emitted = maf.push(int(t), float(v))
-        if emitted is not None:
-            out_ts.append(emitted.timestamp_us)
-            out_vals.append(emitted.value)
+    window_us = int(window_us)
+    if window_us <= 0:
+        raise ValueError(f"window must be positive, got {window_us}")
+    ts = trace.timestamps_us
+    first = int(np.searchsorted(ts, ts[0] + window_us, side="left"))
+    hi = np.arange(first + 1, len(ts) + 1)
+    lo = np.searchsorted(ts, ts[first:] - window_us, side="right")
+
+    # cumsum adds in order, so prefix[:-1] + values re-forms each of its steps.
+    prefix = np.concatenate(([0.0], np.cumsum(trace.values)))
+    _, step_err = _two_sum(prefix[:-1], trace.values)
+    carried = np.concatenate(([0.0], np.cumsum(step_err)))
+    # TwoSum on the difference too: without it a window sum can land one
+    # ulp away from the correctly rounded sum.
+    diff, diff_err = _two_sum(prefix[hi], -prefix[lo])
+    sums = diff + (diff_err + (carried[hi] - carried[lo]))
     return PowerTrace(
         trace.device, trace.source, trace.unit,
-        np.array(out_ts, dtype=np.int64),
-        np.array(out_vals, dtype=np.float64),
-        trace.warnings,
+        ts[first:], sums / (hi - lo), trace.warnings,
     )
 
 

@@ -87,19 +87,6 @@ class PowerTrace:
             return 0
         return int(self.timestamps_us[-1] - self.timestamps_us[0])
 
-    def with_values(self, values: np.ndarray, *, source: str | None = None,
-                    unit: str | None = None,
-                    warnings: tuple[str, ...] | None = None) -> "PowerTrace":
-        """Copy of this trace with replaced values (same timestamps)."""
-        return PowerTrace(
-            self.device,
-            self.source if source is None else source,
-            self.unit if unit is None else unit,
-            self.timestamps_us,
-            np.asarray(values, dtype=np.float64),
-            self.warnings if warnings is None else warnings,
-        )
-
 
 def canonical_device_id(name: str) -> str:
     """Lowercased, stripped device id; rejects empty names."""

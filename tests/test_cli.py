@@ -5,12 +5,13 @@ Every test calls `cli.main` in-process on files written from
 output and, for failures, the single `error: ...` line on stderr.
 """
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from jetcal import cli, ingest, synth
+from jetcal import cli, ingest, sensor, synth
 from jetcal.models import BOOT_PEAK_CURRENT_MA, get_model
 
 NANO = get_model("nano")
@@ -146,6 +147,38 @@ def test_record_from_replay(capsys, files, tmp_path):
 
 # ── exit 2: usage and configuration ─────────────────────────────────────
 
+@pytest.mark.parametrize("argv", [
+    ("calibrate", "--window-us", "0"),
+    ("calibrate", "--window-us", "-5"),
+    ("validate", "--window-us", "0"),
+    ("calibrate", "--coil-turns", "0"),
+    ("calibrate", "--max-gap-us", "-1"),
+    ("calibrate", "--floor-mw", "nan"),
+    ("validate", "--floor-mw", "inf"),
+    ("record", "--duration", "nan"),
+    ("record", "--duration", "-1"),
+    ("record", "--duration", "0"),
+    ("record", "--max-rate-hz", "-5"),
+    ("peak", "--threshold", "nan"),
+], ids=lambda argv: " ".join(argv))
+def test_bad_numeric_flag_is_usage_error(capsys, files, tmp_path, argv):
+    command, flag, value = argv
+    pair = (files / "internal.csv", files / "external.csv", "--device", "nano")
+    rest = {
+        "calibrate": pair,
+        "validate": pair,
+        "record": ("--profile", files / "replay.profile", "--out", tmp_path / "r.csv")
+                  + (("--duration", 0.01) if flag != "--duration" else ()),
+        "peak": (files / "boot.csv",),
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(a) for a in (command, *rest, flag, value)])
+    assert exc.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: jetcal"), err
+    assert f"argument {flag}: expected " in err and "Traceback" not in err
+
+
 def test_missing_input_file_exits_config(capsys, tmp_path):
     rc, _, err = run(capsys, "energy", tmp_path / "nope.csv")
     assert rc == cli.EXIT_CONFIG
@@ -214,3 +247,20 @@ def test_undecodable_model_file_exits_data(capsys, files, tmp_path):
                      "--out", tmp_path / "x.csv")
     assert rc == cli.EXIT_DATA
     assert_one_error_line(err, f"{model}:1: not UTF-8")
+
+
+def test_record_overflow_exits_data_after_writing_kept_rows(capsys, monkeypatch, tmp_path):
+    (tmp_path / "node").write_text("4321\n")
+    profile = tmp_path / "file.profile"
+    profile.write_text(f"device = nano\nmode = whole_board\n"
+                       f"node_paths = {tmp_path / 'node'}\n")
+    monkeypatch.setattr(cli.sensor, "SampleBuffer",
+                        functools.partial(sensor.SampleBuffer, maxlen=10))
+    out_csv = tmp_path / "rec.csv"
+    rc, out, err = run(capsys, "record", "--profile", profile, "--duration", 0.05,
+                       "--out", out_csv)
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, "sample buffer overflowed: dropped the oldest ")
+    recorded = ingest.parse_trace(out_csv, "internal_csv")
+    assert len(recorded) == 10
+    assert np.all(recorded.values == 4321.0)

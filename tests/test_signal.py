@@ -1,11 +1,15 @@
 """Moving-average filter, stream alignment, peak detection."""
 
+from math import fsum
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetcal.errors import (BaselineUndefinedError, EmptyOverlapError,
                            InsufficientDataError, UnitError)
-from jetcal.signal import MovingAverageFilter, align, detect_peak, moving_average
+from jetcal.signal import align, detect_peak, moving_average
 
 from conftest import make_trace, oracle_window_mean
 
@@ -55,17 +59,65 @@ def test_irregular_trace_matches_bruteforce_oracle(rng):
         assert v == pytest.approx(expected, rel=1e-12)
 
 
-def test_streaming_filter_equals_batch(rng):
-    ts = np.cumsum(rng.integers(500, 5000, 500)).astype(np.int64)
-    vals = rng.uniform(0.0, 100.0, 500)
-    maf = MovingAverageFilter(20_000)
-    streamed = [maf.push(int(t), float(v)) for t, v in zip(ts, vals)]
-    streamed = [s for s in streamed if s is not None]
-    batch = moving_average(make_trace(ts, vals), 20_000)
-    assert len(streamed) == len(batch)
-    for s, t, v in zip(streamed, batch.timestamps_us, batch.values):
-        assert s.timestamp_us == t
-        assert s.value == v
+def _emitted_index(ts, out):
+    """Input index of every output sample."""
+    return np.searchsorted(ts, out.timestamps_us)
+
+
+def test_long_irregular_trace_matches_oracle(rng):
+    # Plain prefix-sum differences drift with trace length (about 1e-11
+    # relative here); the compensated sums must not.
+    n = 2_000_000
+    ts = np.cumsum(rng.integers(1000, 10001, n)).astype(np.int64)
+    vals = rng.uniform(3000.0, 20000.0, n)
+    out = moving_average(make_trace(ts, vals), 100_000)
+    idx = _emitted_index(ts, out)
+    for k in rng.choice(len(out), 2000, replace=False):
+        i = int(idx[k])
+        # 200 samples span at least 200 ms, more than one window.
+        local = slice(max(i - 199, 0), i + 1)
+        expected = oracle_window_mean(ts[local], vals[local], int(ts[i]), 100_000)
+        assert out.values[k] == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def awkward_traces(draw):
+    n = draw(st.integers(1, 60))
+    # Dense steps mixed with gaps longer than any window drawn below.
+    step = st.one_of(st.integers(1, 20_000), st.integers(1_000_001, 3_000_000))
+    steps = draw(st.lists(step, min_size=n, max_size=n))
+    start = draw(st.sampled_from([0, 1_700_000_000_000_000]))
+    ts = start + np.cumsum(steps, dtype=np.int64) - steps[0]
+    vals = draw(st.lists(st.floats(1e-3, 1e7), min_size=n, max_size=n))
+    window = draw(st.integers(1, 1_000_000))
+    return ts, np.array(vals), window
+
+
+@settings(max_examples=300, deadline=None)
+@given(awkward_traces())
+def test_every_output_matches_oracle_on_awkward_traces(case):
+    ts, vals, window = case
+    out = moving_average(make_trace(ts, vals), window)
+    assert np.array_equal(ts[ts >= ts[0] + window], out.timestamps_us)
+    for t, v in zip(out.timestamps_us, out.values):
+        assert v == pytest.approx(oracle_window_mean(ts, vals, int(t), window),
+                                  rel=1e-12)
+
+
+def test_signed_values_match_oracle_within_absolute_sum(rng):
+    n = 200_000
+    ts = np.cumsum(rng.integers(100, 2001, n)).astype(np.int64)
+    vals = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 7.0, n)
+    out = moving_average(make_trace(ts, vals, unit="mA"), 20_000)
+    idx = _emitted_index(ts, out)
+    for k in rng.choice(len(out), 2000, replace=False):
+        i = int(idx[k])
+        # 200 steps of at least 100 us span the 20 ms window.
+        local = slice(max(i - 200, 0), i + 1)
+        local_ts, local_vals = ts[local], vals[local]
+        picked = local_vals[local_ts > ts[i] - 20_000]
+        expected = fsum(picked) / len(picked)
+        assert abs(out.values[k] - expected) <= 1e-12 * fsum(np.abs(picked)) / len(picked)
 
 
 def test_white_noise_variance_reduction(rng):
@@ -93,13 +145,6 @@ def test_filter_rejects_bad_window_and_empty_trace():
         moving_average(make_trace([0], [1.0]), -5)
     with pytest.raises(InsufficientDataError):
         moving_average(make_trace([], []), 1000)
-
-
-def test_streaming_filter_rejects_non_increasing_timestamps():
-    maf = MovingAverageFilter(1000)
-    maf.push(10, 1.0)
-    with pytest.raises(ValueError):
-        maf.push(10, 2.0)
 
 
 def test_filter_preserves_metadata():
