@@ -141,9 +141,9 @@ def cmd_record(args) -> int:
     if len(trace) == 0:
         raise DataError("sampler produced no samples")
     ingest.write_trace(trace, args.out)
-    if stats.dropped:
+    if buffer.dropped:
         raise DataError(
-            f"sample buffer overflowed: dropped the oldest {stats.dropped} of "
+            f"sample buffer overflowed: dropped the oldest {buffer.dropped} of "
             f"{stats.samples_taken} samples taken; {args.out} holds the last {len(trace)}"
         )
     result = {
@@ -151,7 +151,7 @@ def cmd_record(args) -> int:
         "samples_taken": stats.samples_taken,
         "achieved_rate_hz": round(stats.achieved_rate_hz, 3),
         "read_errors": stats.read_errors,
-        "dropped": stats.dropped,
+        "dropped": buffer.dropped,
         "start_us": stats.start_us,
         "end_us": stats.end_us,
         "output": str(args.out),

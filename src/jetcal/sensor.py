@@ -7,17 +7,20 @@ profile rather than in code.
 
 A node path of the form `replay:<trace.csv>` swaps the filesystem reader
 for an in-memory replay of that trace, letting the whole pipeline run and
-be tested with no hardware attached.
+be tested with no hardware attached. The sampler keeps no sample it
+delivers; `record` collects them in SampleBuffer, a columnar numpy ring.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import ProfileError, SamplerFailedError, SensorReadError
 from .traces import PowerSample, PowerTrace, canonical_device_id
@@ -33,9 +36,16 @@ ERROR_RATE_LIMIT = 0.10
 _ERROR_RATE_MIN_ATTEMPTS = 20
 
 
+_EPOCH_OFFSET_NS = time.time_ns() - time.monotonic_ns()
+
+
 def now_us() -> int:
-    """Wall-clock time in integer microseconds since the epoch."""
-    return time.time_ns() // 1000
+    """Integer microseconds since the epoch, advancing with the monotonic clock.
+
+    The wall clock is read once, at import, so a later wall-clock step
+    cannot move timestamps back or compress the time between them.
+    """
+    return (_EPOCH_OFFSET_NS + time.monotonic_ns()) // 1000
 
 
 @dataclass(frozen=True)
@@ -45,8 +55,6 @@ class DeviceProfile:
     device: str
     mode: str
     node_paths: tuple[str, ...]
-    rail_names: tuple[str, ...] = ()
-    coil_turns: int = 10
     unit: str = "mw"
     time_scale: float = 1.0
 
@@ -62,16 +70,6 @@ class DeviceProfile:
                 f"whole_board mode takes exactly one node path, "
                 f"got {len(self.node_paths)}"
             )
-        rails = tuple(self.rail_names)
-        if not rails:
-            rails = tuple(f"rail{i}" for i in range(len(self.node_paths)))
-        if len(rails) != len(self.node_paths):
-            raise ProfileError(
-                f"{len(rails)} rail names for {len(self.node_paths)} node paths"
-            )
-        object.__setattr__(self, "rail_names", rails)
-        if self.coil_turns < 1:
-            raise ProfileError(f"coil_turns must be >= 1, got {self.coil_turns}")
         if self.unit not in UNIT_SCALE:
             raise ProfileError(f"unit must be one of {tuple(UNIT_SCALE)}")
         if not self.time_scale > 0:
@@ -87,7 +85,6 @@ class SamplerStats:
     read_errors: int
     start_us: int
     end_us: int
-    dropped: int = 0
 
 
 class FileNodes:
@@ -167,48 +164,52 @@ def open_nodes(profile: DeviceProfile):
     return FileNodes(profile.node_paths)
 
 
-def sample_once(profile: DeviceProfile, nodes=None) -> PowerSample:
+def sample_once(profile: DeviceProfile, nodes) -> PowerSample:
     """Read the profile's node(s) once and return a power sample in mW.
 
     The timestamp is taken immediately before the first node read; for
     sum_rails the one pre-read timestamp stands for all rails, which are
-    read back to back and summed.
+    read back to back and summed. A non-finite total (a node reading nan
+    or inf) raises SensorReadError, so the sampler counts it as a failed
+    read like non-numeric node content.
     """
-    if nodes is None:
-        nodes = open_nodes(profile)
     ts = now_us()
     total = 0.0
     for i in range(len(nodes)):
         total += nodes.read(i)
-    return PowerSample(ts, total * UNIT_SCALE[profile.unit])
+    value = total * UNIT_SCALE[profile.unit]
+    if not math.isfinite(value):
+        raise SensorReadError(f"sensor read gave non-finite power {value!r}")
+    return PowerSample(ts, value)
 
 
 class SampleBuffer:
-    """Bounded single-producer buffer that drops the oldest on overflow."""
+    """Bounded single-producer sink that drops the oldest sample on overflow.
+
+    A columnar ring: sample k goes to row k % maxlen of two preallocated
+    columns, int64 timestamps and float64 values.
+    """
 
     def __init__(self, maxlen: int = 1_000_000):
-        self._deque: deque[PowerSample] = deque()
         self.maxlen = maxlen
-        self.dropped = 0
+        self.taken = 0
+        self._timestamps = np.empty(maxlen, dtype=np.int64)
+        self._values = np.empty(maxlen, dtype=np.float64)
+
+    @property
+    def dropped(self) -> int:
+        return max(self.taken - self.maxlen, 0)
 
     def __call__(self, sample: PowerSample) -> None:
-        if len(self._deque) >= self.maxlen:
-            self._deque.popleft()
-            self.dropped += 1
-        self._deque.append(sample)
+        row = self.taken % self.maxlen
+        self._timestamps[row], self._values[row] = sample
+        self.taken += 1
 
-    def __len__(self) -> int:
-        return len(self._deque)
-
-    def drain(self) -> list[PowerSample]:
-        out = []
-        while self._deque:
-            out.append(self._deque.popleft())
-        return out
-
-    def to_trace(self, device: str, source: str = "internal",
-                 unit: str = "mW") -> PowerTrace:
-        return PowerTrace.from_samples(device, source, unit, self.drain())
+    def to_trace(self, device: str) -> PowerTrace:
+        """The kept samples, oldest first, as an internal mW trace."""
+        rows = np.arange(self.dropped, self.taken) % self.maxlen
+        return PowerTrace(device, "internal", "mW",
+                          self._timestamps[rows], self._values[rows])
 
 
 def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
@@ -272,15 +273,11 @@ def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
         read_errors=errors,
         start_us=start_us,
         end_us=end_us,
-        dropped=getattr(sink, "dropped", 0),
     )
 
 
-# Profile files are `key = value` lines; list values are comma-separated.
-_LIST_KEYS = ("node_paths", "rail_names")
-_NUMBER_KEYS = {"coil_turns": int, "time_scale": float}
-_PROFILE_KEYS = ("device", "mode", "node_paths", "rail_names",
-                 "coil_turns", "unit", "time_scale")
+# Profile files are `key = value` lines; node_paths is comma-separated.
+_PROFILE_KEYS = ("device", "mode", "node_paths", "unit", "time_scale")
 
 
 def load_profile(path) -> DeviceProfile:
@@ -302,15 +299,14 @@ def load_profile(path) -> DeviceProfile:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep or key not in _PROFILE_KEYS:
             raise ProfileError(f"{path}:{lineno}: unexpected line {raw!r}")
-        if key in _LIST_KEYS:
+        if key == "node_paths":
             fields[key] = tuple(p.strip() for p in value.split(",") if p.strip())
-        elif key in _NUMBER_KEYS:
-            convert = _NUMBER_KEYS[key]
+        elif key == "time_scale":
             try:
-                fields[key] = convert(value)
+                fields[key] = float(value)
             except ValueError:
                 raise ProfileError(f"{path}:{lineno}: {key} {value!r} is not "
-                                   f"a valid {convert.__name__}") from None
+                                   f"a valid float") from None
         else:
             fields[key] = value
     for required in ("device", "mode", "node_paths"):

@@ -6,12 +6,14 @@ Values are float64 in the trace's unit (mW, mA or V).
 
 PowerTrace stores samples as two parallel read-only numpy arrays and is
 safe to share across threads. PowerSample is one reading, as the live
-sampler delivers it.
+sampler delivers it; it is not validated, because the sampler checks each
+read and PowerTrace checks the columns it is built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,18 +21,11 @@ SOURCES = ("internal", "external", "calibrated")
 UNITS = ("mW", "mA", "V")
 
 
-@dataclass(frozen=True)
-class PowerSample:
+class PowerSample(NamedTuple):
     """One timestamped reading in the owning trace's unit."""
 
     timestamp_us: int
     value: float
-
-    def __post_init__(self):
-        if self.timestamp_us < 0:
-            raise ValueError(f"timestamp must be non-negative, got {self.timestamp_us}")
-        if not np.isfinite(self.value):
-            raise ValueError(f"sample value must be finite, got {self.value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,14 +63,6 @@ class PowerTrace:
             raise ValueError("all sample values must be finite")
         ts.setflags(write=False)
         vals.setflags(write=False)
-
-    @classmethod
-    def from_samples(cls, device: str, source: str, unit: str,
-                     samples, warnings: tuple[str, ...] = ()) -> "PowerTrace":
-        pairs = [(s.timestamp_us, s.value) for s in samples]
-        ts = np.array([p[0] for p in pairs], dtype=np.int64)
-        vals = np.array([p[1] for p in pairs], dtype=np.float64)
-        return cls(device, source, unit, ts, vals, warnings)
 
     def __len__(self) -> int:
         return len(self.timestamps_us)

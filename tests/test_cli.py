@@ -195,11 +195,11 @@ def test_unknown_device_exits_config(capsys, files, tmp_path):
 def test_non_numeric_profile_value_exits_config(capsys, tmp_path):
     profile = tmp_path / "ten.profile"
     profile.write_text("device = nano\nmode = whole_board\nnode_paths = node\n"
-                       "coil_turns = ten\n")
+                       "time_scale = fast\n")
     rc, _, err = run(capsys, "record", "--profile", profile, "--duration", 0.01,
                      "--out", tmp_path / "r.csv")
     assert rc == cli.EXIT_CONFIG
-    assert_one_error_line(err, f"{profile}:4: coil_turns 'ten'")
+    assert_one_error_line(err, f"{profile}:4: time_scale 'fast'")
 
 
 def test_undecodable_profile_exits_config(capsys, tmp_path):
@@ -249,11 +249,16 @@ def test_undecodable_model_file_exits_data(capsys, files, tmp_path):
     assert_one_error_line(err, f"{model}:1: not UTF-8")
 
 
-def test_record_overflow_exits_data_after_writing_kept_rows(capsys, monkeypatch, tmp_path):
-    (tmp_path / "node").write_text("4321\n")
+def file_node_profile(tmp_path, content):
+    (tmp_path / "node").write_text(content)
     profile = tmp_path / "file.profile"
     profile.write_text(f"device = nano\nmode = whole_board\n"
                        f"node_paths = {tmp_path / 'node'}\n")
+    return profile
+
+
+def test_record_overflow_exits_data_after_writing_kept_rows(capsys, monkeypatch, tmp_path):
+    profile = file_node_profile(tmp_path, "4321\n")
     monkeypatch.setattr(cli.sensor, "SampleBuffer",
                         functools.partial(sensor.SampleBuffer, maxlen=10))
     out_csv = tmp_path / "rec.csv"
@@ -263,4 +268,34 @@ def test_record_overflow_exits_data_after_writing_kept_rows(capsys, monkeypatch,
     assert_one_error_line(err, "sample buffer overflowed: dropped the oldest ")
     recorded = ingest.parse_trace(out_csv, "internal_csv")
     assert len(recorded) == 10
+    assert np.all(recorded.values == 4321.0)
+
+
+@pytest.mark.parametrize("content", ["nan\n", "inf\n", "-inf\n"])
+def test_record_from_non_finite_node_exits_data(capsys, tmp_path, content):
+    profile = file_node_profile(tmp_path, content)
+    rc, out, err = run(capsys, "record", "--profile", profile, "--duration", 0.05,
+                       "--out", tmp_path / "rec.csv")
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, "sampler aborted: 20/20 node reads failed")
+
+
+def test_record_tolerates_node_non_finite_on_one_read_in_ten(capsys, monkeypatch,
+                                                            tmp_path):
+    class OneInTenNan(sensor.FileNodes):
+        reads = 0
+
+        def read(self, i):
+            self.reads += 1
+            return float("nan") if self.reads % 10 == 0 else super().read(i)
+
+    monkeypatch.setattr(sensor, "FileNodes", OneInTenNan)
+    out_csv = tmp_path / "rec.csv"
+    rc, out = run_json(capsys, "record", "--profile", file_node_profile(tmp_path, "4321\n"),
+                       "--duration", 0.05, "--out", out_csv)
+    assert rc == cli.EXIT_OK
+    attempts = out["samples_taken"] + out["read_errors"]
+    assert out["read_errors"] == attempts // 10 > 0
+    recorded = ingest.parse_trace(out_csv, "internal_csv")
+    assert len(recorded) == out["samples_taken"]
     assert np.all(recorded.values == 4321.0)
