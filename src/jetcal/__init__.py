@@ -19,7 +19,7 @@ from .ingest import (parse_trace, parse_value_trace, power_from_channels,
 from .models import (BOOT_PEAK_CURRENT_MA, BUILTIN_MODELS, CalibrationModel,
                      EnergyReport, apply_model, apply_trace, get_model,
                      integrate_energy, invert_model, load_models, save_models)
-from .regression import FitReport, PairedDataset, evaluate, fit, fit_report_text
+from .regression import FitReport, PairedDataset, evaluate, fit
 from .sensor import (DeviceProfile, ReplayNodes, SampleBuffer, SamplerStats,
                      load_profile, run_sampler, sample_once)
 from .signal import PeakReport, align, detect_peak, moving_average
@@ -64,7 +64,6 @@ __all__ = [
     "detect_peak",
     "evaluate",
     "fit",
-    "fit_report_text",
     "get_model",
     "integrate_energy",
     "invert_model",

@@ -15,6 +15,12 @@ rejected: they indicate a logging fault that averaging would silently
 mask. A file with several faults fails with a ParseError naming the first
 bad line in file order. Floats are written with repr(), which round-trips
 exactly.
+
+The body is parsed by np.loadtxt a chunk of lines at a time, and each
+chunk's columns are checked at once. From the first chunk this fast
+path cannot take, or whose columns break a rule, a row loop reads on:
+it parses what loadtxt cannot and words the ParseError, so both paths
+give the same columns, line numbers and messages.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import warnings
 from array import array
+from itertools import chain, islice
 
 import numpy as np
 
@@ -39,6 +47,11 @@ _POWER = {("timestamp_us", "power_mw"): (None,)}
 _EXTERNAL = {("timestamp_us", "voltage_v", "current_a"):
              ("DC supply voltage must be >= 0, got {}", None), **_POWER}
 _VALUE = {**_POWER, ("timestamp_us", "current_ma"): (None,)}
+
+# Body lines handed to np.loadtxt at a time: few enough that a rejected
+# file's row loop starts near its bad line, many enough that the calls
+# cost nothing next to the parsing.
+_CHUNK_LINES = 8192
 
 
 def power_from_channels(timestamps_us, volts, clamp_a,
@@ -85,23 +98,65 @@ def _row_error(row, prev: int | None, header, signs) -> str | None:
     return None
 
 
+def _first_bad_row(t, values, signs, prev=None) -> int | None:
+    """Index of the first row that breaks the order, sign or finiteness rules.
+
+    `prev` is the timestamp of the row before t[0], if there is one.
+    """
+    bad = t < 0
+    bad[1:] |= t[1:] <= t[:-1]
+    if prev is not None:
+        bad[:1] |= t[:1] <= prev
+    bad |= ~np.isfinite(values).all(axis=1)
+    bad |= (values[:, [s is not None for s in signs]] < 0).any(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _undecodable(exc: UnicodeDecodeError) -> str:
+    return f"not UTF-8 text: cannot decode byte 0x{exc.object[exc.start]:02x}"
+
+
+def _loadtxt_reads_as_rows(path) -> bool:
+    """Whether np.loadtxt would read this file's cells as the row loop does.
+
+    A file is left to the row loop if a byte is not ASCII (loadtxt has
+    crashed on some such characters, and int() reads digits of any
+    script), if a byte is one of the separators 0x1c-0x1f (loadtxt strips
+    them as whitespace, int() and float() reject them), or if a line may
+    be longer than csv's field size limit, which loadtxt does not enforce.
+    Every line is shorter than that limit when each whole block of half
+    its size holds a newline.
+    """
+    block = csv.field_size_limit() // 2
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(16 * block), b""):
+            if not chunk.isascii() or any(sep in chunk for sep in b"\x1c\x1d\x1e\x1f") or \
+                    any(chunk.find(b"\n", i, i + block) < 0
+                        for i in range(0, len(chunk) - block + 1, block)):
+                return False
+    return True
+
+
 def _read_columns(path, schema_for, accepted):
     """Header, int64 timestamps and an (n, k) float64 value matrix.
 
     `schema_for(header)` returns the header's sign entries (see _POWER)
     or None to reject it; `accepted` lists the headers for that error.
-    Rows are converted inline; the order, sign and finiteness checks then
-    run once over the columns, and the first bad line in file order is
-    raised as ParseError. Blank lines are skipped but still counted.
+    The header is read with csv. The body of a regular file whose bytes
+    np.loadtxt reads as the row loop does takes the fast path,
+    _loadtxt_body; any other body, a pipe's among them, goes to the row
+    loop, _read_rows, whole.
     """
-    ts, flat = array("q"), array("d")   # timestamps; values row after row
-    blanks = []                         # data rows read before each blank line
-    failed = None                       # (line, message) that stopped the read
-    signs, k = (), 1                    # until the header is read
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
+            fast = fh.seekable() and _loadtxt_reads_as_rows(path)
             reader = csv.reader(fh)
-            header = next(reader, None)
+            try:
+                header = next(reader, None)
+            except UnicodeDecodeError as exc:
+                raise ParseError(path, None, _undecodable(exc)) from None
+            except csv.Error as exc:
+                raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
             if header is None:
                 raise ParseError(path, None, "file is empty, expected a header row")
             header = tuple(c.strip() for c in header)
@@ -110,43 +165,86 @@ def _read_columns(path, schema_for, accepted):
                 expected = " or ".join(",".join(h) for h in accepted)
                 raise ParseError(path, 1, f"expected header {expected}, "
                                           f"got {','.join(header)}")
-            width, k = len(header), len(header) - 1
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    blanks.append(len(ts))
-                    continue
-                if len(row) == width:
-                    try:
-                        ts.append(int(row[0]))
-                        flat.extend(map(float, row[1:]))
-                        continue
-                    except (ValueError, OverflowError):
-                        del ts[len(flat) // k:]
-                        del flat[len(ts) * k:]
-                failed = (lineno, _row_error(row, ts[-1] if ts else None, header, signs))
-                break
+            read_body = _loadtxt_body if fast else _read_rows
+            return (header, *read_body(path, fh, header, signs, reader.line_num + 1))
     except OSError as exc:
         raise ParseError(path, None, f"cannot read: {exc}") from exc
+
+
+def _loadtxt_body(path, fh, header, signs, line):
+    """The fast path: the body's columns, _CHUNK_LINES lines per np.loadtxt call.
+
+    Each chunk's columns are checked against the row before it. From the
+    first chunk that loadtxt cannot parse or whose columns break a rule,
+    the row loop reads to the end of the file: it parses what loadtxt
+    could not, such as a quoted cell, or words the ParseError. Each line
+    of a chunk loadtxt took is one row, so the row loop's line numbers
+    are right, and a rejected file is parsed once.
+    """
+    k = len(header) - 1
+    dtype = [("t", np.int64), ("v", np.float64, (k,))]
+    parts, prev = [(np.empty(0, np.int64), np.empty((0, k)))], None
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        for lines in iter(lambda: list(islice(fh, _CHUNK_LINES)), []):
+            try:
+                # comments=None: the default "#" would take "2.5 # x", which float() rejects.
+                rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+            except ValueError:
+                rows = None
+            if rows is None or _first_bad_row(rows["t"], rows["v"], signs, prev) is not None:
+                parts.append(_read_rows(path, chain(lines, fh), header, signs, line, prev))
+                break
+            parts.append((rows["t"], rows["v"]))
+            line += len(lines)
+            prev = int(rows["t"][-1]) if len(rows) else prev
+    ts, values = zip(*parts)
+    return np.concatenate(ts), np.concatenate(values)
+
+
+def _read_rows(path, lines, header, signs, line, prev=None):
+    """The row loop: columns of the body lines from file line `line` on.
+
+    `prev` is the timestamp of the row before them, if any. Rows are
+    converted inline; the order, sign and finiteness checks then run
+    once over the columns, and the first bad line in file order is
+    raised as ParseError. Blank lines are skipped but still counted.
+    """
+    ts, flat = array("q"), array("d")   # timestamps; values row after row
+    blanks = []                         # data rows read before each blank line
+    failed = None                       # (line, message) that stopped the read
+    width, k = len(header), len(header) - 1
+    reader = csv.reader(lines)
+    try:
+        for lineno, row in enumerate(reader, start=line):
+            if not row:
+                blanks.append(len(ts))
+                continue
+            if len(row) == width:
+                try:
+                    ts.append(int(row[0]))
+                    flat.extend(map(float, row[1:]))
+                    continue
+                except (ValueError, OverflowError):
+                    del ts[len(flat) // k:]
+                    del flat[len(ts) * k:]
+            failed = (lineno, _row_error(row, ts[-1] if ts else prev, header, signs))
+            break
     except UnicodeDecodeError as exc:
-        failed = (None, f"not UTF-8 text: cannot decode byte 0x{exc.object[exc.start]:02x}")
+        failed = (None, _undecodable(exc))
     except csv.Error as exc:
-        failed = (reader.line_num, f"malformed CSV: {exc}")
+        failed = (line - 1 + reader.line_num, f"malformed CSV: {exc}")
 
     t = np.array(ts, dtype=np.int64)
     values = np.array(flat, dtype=np.float64).reshape(len(t), k)
-
-    bad = t < 0
-    bad[1:] |= t[1:] <= t[:-1]
-    bad |= ~np.isfinite(values).all(axis=1)
-    bad |= (values[:, [s is not None for s in signs]] < 0).any(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
+    i = _first_bad_row(t, values, signs, prev)
+    if i is not None:
         row = [str(t[i])] + [repr(v) for v in values[i].tolist()]
-        line = i + 2 + bisect.bisect_right(blanks, i)
-        failed = (line, _row_error(row, int(t[i - 1]) if i else None, header, signs))
+        failed = (i + line + bisect.bisect_right(blanks, i),
+                  _row_error(row, int(t[i - 1]) if i else prev, header, signs))
     if failed is not None:
         raise ParseError(path, *failed)
-    return header, t, values
+    return t, values
 
 
 def _rails_schema(header):

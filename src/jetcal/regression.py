@@ -148,18 +148,3 @@ def _squared_correlation(a: np.ndarray, b: np.ndarray) -> float:
         return 0.0
     r2 = float(da @ db) ** 2 / denom
     return min(max(r2, 0.0), 1.0)
-
-
-def fit_report_text(report: FitReport) -> str:
-    """Model-file record followed by a key-value metrics block."""
-    from .models import format_model
-
-    lines = [
-        format_model(report.model),
-        f"mae_pct = {report.mae_pct!r}",
-        f"max_abs_err_pct = {report.max_abs_err_pct!r}",
-        f"r_squared = {report.r_squared!r}",
-        f"n_samples = {report.n_samples}",
-        f"excluded_low_power = {report.excluded_low_power}",
-    ]
-    return "\n".join(lines) + "\n"

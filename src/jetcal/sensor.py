@@ -223,7 +223,9 @@ def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
     the maximum rate the nodes allow unless max_rate_hz throttles it.
     Clock ties are broken by bumping the timestamp one microsecond so the
     sink always sees strictly increasing timestamps. Read errors are
-    counted and tolerated up to a 10% rate, then the run aborts.
+    counted and tolerated up to a 10% rate, then the run aborts. The rate
+    is judged at attempt 20, whether that read fails or not, and at every
+    failed read after it.
     """
     if duration_s is None and should_stop is None:
         raise ValueError("need a duration or a stop condition")
@@ -254,6 +256,9 @@ def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
                     errors / attempts > ERROR_RATE_LIMIT:
                 raise SamplerFailedError(errors, attempts) from None
             continue
+        if errors and attempts == _ERROR_RATE_MIN_ATTEMPTS and \
+                errors / attempts > ERROR_RATE_LIMIT:
+            raise SamplerFailedError(errors, attempts)
         if sample.timestamp_us <= last_ts:
             sample = PowerSample(last_ts + 1, sample.value)
         last_ts = sample.timestamp_us

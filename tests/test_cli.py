@@ -214,13 +214,17 @@ def test_undecodable_profile_exits_config(capsys, tmp_path):
 # ── exit 3: bad data ────────────────────────────────────────────────────
 
 def test_malformed_row_exits_data(capsys, files, tmp_path):
-    lines = (files / "external.csv").read_text().splitlines(keepends=True)
-    lines[100] = lines[100].rsplit(",", 1)[0] + "\n"
-    bad = tmp_path / "external_bad.csv"
-    bad.write_text("".join(lines))
-    rc, _, err = run(capsys, "calibrate", files / "internal.csv", bad, "--device", "nano")
-    assert rc == cli.EXIT_DATA
-    assert_one_error_line(err, f"{bad}:101: expected 3 columns, got 2")
+    good = (files / "external.csv").read_text().splitlines(keepends=True)
+    # Row 100, and the tenth row from the end as in the benchmark's reject probe.
+    for i in (100, len(good) - 10):
+        lines = list(good)
+        lines[i] = lines[i].rsplit(",", 1)[0] + "\n"
+        bad = tmp_path / "external_bad.csv"
+        bad.write_text("".join(lines))
+        rc, _, err = run(capsys, "calibrate", files / "internal.csv", bad,
+                         "--device", "nano")
+        assert rc == cli.EXIT_DATA
+        assert_one_error_line(err, f"{bad}:{i + 1}: expected 3 columns, got 2")
 
 
 def test_undecodable_csv_exits_data(capsys, tmp_path):

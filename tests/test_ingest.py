@@ -1,10 +1,14 @@
 """CSV schemas, channel-to-power conversion, rail totals, parse errors."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetcal import ingest
 from jetcal.errors import ParseError
 from jetcal.ingest import (parse_trace, parse_value_trace, power_from_channels,
                            write_trace)
@@ -250,6 +254,9 @@ FORMATS = {
     "external": ("timestamp_us,voltage_v,current_a",
                  lambda p: parse_trace(p, "external_csv"),
                  lambda t: [str(t), "5.0", "2.5"]),
+    "external-mw": ("timestamp_us,power_mw",
+                    lambda p: parse_trace(p, "external_csv"),
+                    lambda t: [str(t), "4999.5"]),
     "rails": ("timestamp_us,cpu_mw,gpu_mw",
               lambda p: parse_trace(p, "rails_csv"),
               lambda t: [str(t), "100.0", "200.5"]),
@@ -372,6 +379,12 @@ def test_one_corrupted_cell_fails_at_its_line(tmp_path_factory, fmt, n, data):
     assert parse_error(path, fmt).line == lines[row]
 
 
+def test_header_quoted_over_two_lines_counts_both(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text('timestamp_us,"power_mw\n"\n0,1.5\n10,x\n')
+    assert parse_error(path, "internal").line == 4
+
+
 def test_undecodable_byte_is_parse_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"timestamp_us,power_mw\n0,1.0\n1000,2\xb0\n")
@@ -380,11 +393,13 @@ def test_undecodable_byte_is_parse_error(tmp_path):
 
 
 def test_oversized_field_is_parse_error(tmp_path):
-    path = tmp_path / "big.csv"
-    path.write_text("timestamp_us,power_mw\n0,1.0\n1," + "9" * 200_000 + "\n")
-    err = parse_error(path, "internal")
-    assert err.line == 3
-    assert "field larger than field limit" in str(err)
+    # The second field reads as a finite 1.0, which np.loadtxt would accept.
+    for field in ("9" * 200_000, "1." + "0" * 200_000):
+        path = tmp_path / "big.csv"
+        path.write_text("timestamp_us,power_mw\n0,1.0\n1," + field + "\n")
+        err = parse_error(path, "internal")
+        assert err.line == 3
+        assert "field larger than field limit" in str(err)
 
 
 def test_timestamp_beyond_int64_is_parse_error(tmp_path):
@@ -393,6 +408,151 @@ def test_timestamp_beyond_int64_is_parse_error(tmp_path):
     err = parse_error(path, "internal")
     assert err.line == 3
     assert "out of range" in str(err)
+
+
+# ── the loadtxt fast path against the row loop ──────────────────────────
+
+# format -> (schema_for, accepted) as parse_trace and parse_value_trace pass them
+READERS = {
+    "internal": (ingest._POWER.get, ingest._POWER),
+    "external": (ingest._EXTERNAL.get, ingest._EXTERNAL),
+    "external-mw": (ingest._EXTERNAL.get, ingest._EXTERNAL),
+    "rails": (ingest._rails_schema, [("timestamp_us", "<rail>_mw", "...")]),
+    "current": (ingest._VALUE.get, ingest._VALUE),
+}
+
+
+def _refuse(*args, **kwargs):
+    raise ValueError("fast path refused")
+
+
+def read_columns(path, fmt, force_row_loop=False, chunk_lines=None):
+    """(header, t, values), or (line, message) of the ParseError."""
+    with pytest.MonkeyPatch.context() as mp:
+        if force_row_loop:
+            mp.setattr(ingest.np, "loadtxt", _refuse)
+        if chunk_lines:
+            mp.setattr(ingest, "_CHUNK_LINES", chunk_lines)
+        try:
+            return ingest._read_columns(path, *READERS[fmt])
+        except ParseError as exc:
+            return exc.line, str(exc)
+
+
+def _underscore(cell):
+    return cell[0] + "_" + cell[1:] if cell[:2].isdigit() else cell
+
+
+# Spellings Python's int() and float() read but np.loadtxt may not, or the reverse.
+SPELLINGS = [lambda c: f'"{c}"', _underscore, lambda c: f" {c} ", lambda c: f"+{c}",
+             lambda c: f"\x1c{c}", lambda c: f"{c}\t", lambda c: f"{c} # x"]
+SPECIAL = {0: ["-0", "007", str(2**63 - 1), str(2**63), str(2**64 + 5), "1e3", "", "-1"],
+           1: ["nan", "inf", "-inf", "1e400", "-0.0", "1e-400", ".5", "7."]}
+
+
+@settings(max_examples=400, deadline=None)
+@given(fmt=st.sampled_from(sorted(FORMATS)), n=st.integers(0, 12), data=st.data())
+def test_fast_path_matches_row_loop(tmp_path_factory, fmt, n, data):
+    header, _, make_row = FORMATS[fmt]
+    kinds = dict(KINDS)
+    if fmt in SIGNED:
+        kinds[SIGNED[fmt][0]] = SIGNED[fmt][1:]
+    clean = [make_row(1000 * (i + 1)) for i in range(n)]
+    rows = [list(row) for row in clean]
+    row_index = st.integers(0, max(n - 1, 0))
+    edits = st.tuples(row_index, st.integers(0, len(rows[0]) - 1 if rows else 0))
+    if rows:
+        # Half the files hold no corruption and half no special cell, so that
+        # the fast path's own columns are compared too, not only its errors.
+        if data.draw(st.booleans()):
+            for i, kind in data.draw(st.lists(
+                    st.tuples(row_index, st.sampled_from(sorted(kinds))),
+                    min_size=1, max_size=3, unique_by=lambda e: e[0])):
+                kinds[kind][0](rows[i], clean[i - 1])
+        for (i, col), spell in data.draw(st.lists(
+                st.tuples(edits, st.sampled_from(SPELLINGS)), max_size=3)):
+            if col < len(rows[i]):
+                rows[i][col] = spell(rows[i][col])
+        for (i, col), pick in data.draw(st.lists(st.tuples(edits, st.integers(0, 7)),
+                                                 max_size=2 * data.draw(st.booleans()))):
+            if col < len(rows[i]):
+                rows[i][col] = SPECIAL[min(col, 1)][pick]
+    lines = [header] + [",".join(row) for row in rows]
+    for at, text in data.draw(st.lists(st.tuples(st.integers(1, len(lines)),
+                                                 st.sampled_from(["", "", " ", "\t"])),
+                                       max_size=3)):
+        lines.insert(at, text)
+    newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    ending = data.draw(st.sampled_from([newline, ""]))
+    path = tmp_path_factory.mktemp("fast") / "t.csv"
+    path.write_bytes((newline.join(lines) + ending).encode())
+
+    # Chunks of a few lines make the row loop take over mid-file.
+    chunk_lines = data.draw(st.sampled_from([1, 2, 3, ingest._CHUNK_LINES]))
+    fast = read_columns(path, fmt, chunk_lines=chunk_lines)
+    rows_only = read_columns(path, fmt, force_row_loop=True)
+    assert len(fast) == len(rows_only)
+    if len(fast) == 2:
+        assert fast == rows_only
+    else:
+        assert fast[0] == rows_only[0]
+        assert np.array_equal(fast[1], rows_only[1])
+        assert np.array_equal(fast[2], rows_only[2])
+        assert (fast[1].dtype, fast[2].dtype) == (np.int64, np.float64)
+
+
+def _no_row_loop(*args):
+    raise AssertionError("the row loop ran on a clean file")
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("n", [0, 9])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_clean_files_take_the_fast_path(tmp_path, monkeypatch, fmt, n, newline):
+    path = tmp_path / "ok.csv"
+    corrupted_file(path, fmt, {}, n=n, blank_after=(2,))
+    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    expected = read_columns(path, fmt, force_row_loop=True)
+    monkeypatch.setattr(ingest, "_read_rows", _no_row_loop)
+    header, t, values = read_columns(path, fmt, chunk_lines=4)
+    assert header == expected[0] == tuple(FORMATS[fmt][0].split(","))
+    assert np.array_equal(t, expected[1]) and np.array_equal(values, expected[2])
+    assert len(t) == len(FORMATS[fmt][1](path)) == n
+
+
+def test_row_loop_takes_over_at_the_chunk_of_the_bad_line(tmp_path, monkeypatch):
+    path = tmp_path / "bad.csv"
+    lines = corrupted_file(path, "external", {16: _drop_last}, n=20, blank_after=(3,))
+    starts = []
+    read_rows = ingest._read_rows
+    monkeypatch.setattr(ingest, "_read_rows", lambda path, lines, header, signs, line, prev:
+                        starts.append(line) or read_rows(path, lines, header, signs, line, prev))
+    assert lines[16] == 19
+    assert read_columns(path, "external", chunk_lines=4) == \
+        (19, f"{path}:19: expected 3 columns, got 2")
+    assert starts == [18]   # body lines come in chunks 2-5, 6-9, ..., 18-21
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("body, expected", [
+    ("0,1.5\n10,2.5\n", [1.5, 2.5]),
+    ("0,1.5\n10,x\n", (3, "power_mw value 'x' is not numeric")),
+], ids=["clean", "bad-cell"])
+def test_pipe_is_read_once(tmp_path, body, expected):
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, daemon=True,
+                              args=("timestamp_us,power_mw\n" + body,))
+    writer.start()
+    try:
+        if isinstance(expected, list):
+            assert parse_trace(pipe, "internal_csv").values.tolist() == expected
+        else:
+            err = parse_error(pipe, "internal")
+            assert (err.line, str(err)) == (expected[0], f"{pipe}:{expected[0]}: {expected[1]}")
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 # ── writing and round trips ─────────────────────────────────────────────

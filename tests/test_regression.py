@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from jetcal.errors import (DegenerateDataError, InsufficientDataError,
                            NoEvaluableDataError, SuspiciousFitError)
 from jetcal.models import BUILTIN_MODELS, CalibrationModel, invert_model
-from jetcal.regression import (PairedDataset, evaluate, fit, fit_report_text)
+from jetcal.regression import PairedDataset, evaluate, fit
 
 from conftest import oracle_ols, oracle_sum_squared_residuals
 
@@ -185,15 +185,3 @@ def test_dataset_rejects_unsorted_timestamps():
     with pytest.raises(ValueError):
         PairedDataset("nano", np.array([10, 5]), np.array([1.0, 2.0]),
                       np.array([1.0, 2.0]))
-
-
-def test_fit_report_text_has_model_record_and_metrics(rng):
-    x = rng.uniform(1000.0, 9000.0, 50)
-    report = fit(dataset(x, 1.5 * x + 10.0))
-    text = fit_report_text(report)
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("device=nano slope=")
-    assert "provenance=fitted" in lines[0]
-    keys = {line.split(" = ")[0] for line in lines[1:]}
-    assert keys == {"mae_pct", "max_abs_err_pct", "r_squared",
-                    "n_samples", "excluded_low_power"}
