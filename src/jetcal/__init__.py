@@ -17,8 +17,8 @@ from .errors import (BaselineUndefinedError, ConfigError, DataError,
 from .ingest import (parse_trace, parse_value_trace, power_from_channels,
                      write_trace)
 from .models import (BOOT_PEAK_CURRENT_MA, BUILTIN_MODELS, CalibrationModel,
-                     EnergyReport, apply_model, apply_trace, get_model,
-                     integrate_energy, invert_model, load_models, save_models)
+                     EnergyReport, apply_trace, get_model, integrate_energy,
+                     invert_model, load_models, save_models)
 from .regression import FitReport, PairedDataset, evaluate, fit
 from .sensor import (DeviceProfile, ReplayNodes, SampleBuffer, SamplerStats,
                      load_profile, run_sampler, sample_once)
@@ -58,7 +58,6 @@ __all__ = [
     "UnitError",
     "UnknownDeviceError",
     "align",
-    "apply_model",
     "apply_trace",
     "canonical_device_id",
     "detect_peak",

@@ -14,7 +14,8 @@ sum_rails mode adds them live. Duplicate or out-of-order timestamps are
 rejected: they indicate a logging fault that averaging would silently
 mask. A file with several faults fails with a ParseError naming the first
 bad line in file order. Floats are written with repr(), which round-trips
-exactly.
+exactly; the writer formats each distinct value once per chunk of rows,
+because a recorded trace holds each node value for many polls.
 
 The body is parsed by np.loadtxt a chunk of lines at a time, and each
 chunk's columns are checked at once. From the first chunk this fast
@@ -48,9 +49,10 @@ _EXTERNAL = {("timestamp_us", "voltage_v", "current_a"):
              ("DC supply voltage must be >= 0, got {}", None), **_POWER}
 _VALUE = {**_POWER, ("timestamp_us", "current_ma"): (None,)}
 
-# Body lines handed to np.loadtxt at a time: few enough that a rejected
-# file's row loop starts near its bad line, many enough that the calls
-# cost nothing next to the parsing.
+# Body lines handed to np.loadtxt at a time, and rows formatted per write:
+# few enough that a rejected file's row loop starts near its bad line and
+# that a write holds a bounded text, many enough that the calls cost
+# nothing next to the parsing and formatting.
 _CHUNK_LINES = 8192
 
 
@@ -288,11 +290,25 @@ def parse_value_trace(path, device: str = "unknown") -> PowerTrace:
 
 
 def write_trace(trace: PowerTrace, path) -> None:
-    """Write a mW trace as internal_csv or a mA trace as a current CSV."""
+    """Write a mW trace as internal_csv or a mA trace as a current CSV.
+
+    Each row is f"{t},{v!r}\\n": every value is written as its repr, as
+    one row at a time would write it. The rows go out _CHUNK_LINES at a
+    time, and each distinct value of a chunk is formatted once, because a
+    recorded trace re-reads one node value for many rows. Values are told
+    apart by their bits, so 0.0 and -0.0 keep their own repr.
+    """
     column = {"mW": "power_mw", "mA": "current_ma"}.get(trace.unit)
     if column is None:
         raise ValueError(f"cannot serialize a {trace.unit} trace")
+    ts, values = trace.timestamps_us, trace.values
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"timestamp_us,{column}\n")
-        fh.writelines(f"{t},{v!r}\n" for t, v in
-                      zip(trace.timestamps_us.tolist(), trace.values.tolist()))
+        for start in range(0, len(ts), _CHUNK_LINES):
+            end = start + _CHUNK_LINES
+            bits, row_cell = np.unique(values[start:end].view(np.int64), return_inverse=True)
+            cells = np.array([f",{v!r}\n" for v in bits.view(np.float64).tolist()], dtype=object)
+            parts = [""] * (2 * len(row_cell))   # t, ",v\n", t, ",v\n", ...
+            parts[::2] = map(str, ts[start:end].tolist())
+            parts[1::2] = cells[row_cell].tolist()
+            fh.write("".join(parts))

@@ -103,13 +103,6 @@ def get_model(device: str) -> CalibrationModel:
         raise UnknownDeviceError(device, tuple(sorted(BUILTIN_MODELS))) from None
 
 
-def apply_model(model: CalibrationModel, raw_mw: float) -> float:
-    """Map one internal reading to calibrated power: slope * raw + intercept."""
-    if not math.isfinite(raw_mw) or raw_mw < 0:
-        raise InvalidReadingError(f"raw reading must be finite and >= 0, got {raw_mw}")
-    return model.slope * raw_mw + model.intercept_mw
-
-
 def invert_model(model: CalibrationModel, true_mw: float) -> float:
     """Raw reading that would calibrate to `true_mw`: (true - intercept) / slope."""
     return (true_mw - model.intercept_mw) / model.slope

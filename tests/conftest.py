@@ -3,7 +3,7 @@
 The oracle helpers deliberately avoid the library's own code paths:
 window means via boolean masks and math.fsum, least squares via an exact
 rational solve of the normal equations, energy via an explicit
-trapezoid loop.
+trapezoid loop, a written trace via one f-string per row.
 """
 
 from __future__ import annotations
@@ -65,3 +65,11 @@ def oracle_trapezoid_mj(ts, values):
 
 def oracle_sum_squared_residuals(x, y, slope, intercept):
     return fsum((yi - slope * xi - intercept) ** 2 for xi, yi in zip(x, y))
+
+
+def oracle_trace_csv(trace) -> bytes:
+    """A mW or mA trace's CSV, formatted row by row with repr()."""
+    column = {"mW": "power_mw", "mA": "current_ma"}[trace.unit]
+    rows = "".join(f"{t},{v!r}\n" for t, v in
+                   zip(trace.timestamps_us.tolist(), trace.values.tolist()))
+    return f"timestamp_us,{column}\n{rows}".encode()

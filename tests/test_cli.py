@@ -1,7 +1,7 @@
 """The command line end to end on synthetic captures.
 
 Every test calls `cli.main` in-process on files written from
-`synth.synthetic_pair`, and checks the exit code, the one-line `--json`
+`synth.synthetic_pair` or shaped like a `record` output, and checks the exit code, the one-line `--json`
 output and, for failures, the single `error: ...` line on stderr.
 """
 
@@ -13,6 +13,9 @@ import pytest
 
 from jetcal import cli, ingest, sensor, synth
 from jetcal.models import BOOT_PEAK_CURRENT_MA, get_model
+from jetcal.traces import PowerTrace
+
+from conftest import oracle_trace_csv
 
 NANO = get_model("nano")
 SUPPLY_V = 5.0
@@ -120,12 +123,31 @@ def test_apply_then_energy(capsys, files, tmp_path):
     assert out["n_samples"] == len(raw)
     cal = ingest.parse_trace(calibrated, "internal_csv")
     np.testing.assert_array_equal(cal.values, NANO.slope * raw.values + NANO.intercept_mw)
+    assert calibrated.read_bytes() == oracle_trace_csv(cal)
 
     rc, out = run_json(capsys, "energy", calibrated)
     assert rc == cli.EXIT_OK
     assert set(out) == ENERGY_KEYS
     assert out["calibrated_with"] == "none"
     assert out["duration_us"] == int(raw.timestamps_us[-1] - raw.timestamps_us[0])
+
+
+def test_apply_writes_a_recorded_trace_as_the_oracle(capsys, tmp_path):
+    # A record's shape: a node that updates every 1-10 ms, polled every
+    # 10-40 us, so each integer-mW value repeats for many rows.
+    rng = np.random.default_rng(5)
+    ts = 1_700_000_000_000_000 + np.cumsum(rng.integers(10, 41, 3 * ingest._CHUNK_LINES))
+    updates = ts[0] + np.cumsum(rng.integers(1_000, 10_001, len(ts)))
+    levels = np.round(rng.uniform(2_000.0, 15_000.0, len(ts) + 1))
+    raw = PowerTrace("nano", "internal", "mW", ts, levels[np.searchsorted(updates, ts)])
+    assert len(np.unique(raw.values)) < len(raw) / 100
+    ingest.write_trace(raw, tmp_path / "rec.csv")
+    rc, out = run_json(capsys, "apply", tmp_path / "rec.csv", "--device", "nano",
+                       "--out", tmp_path / "cal.csv")
+    assert (rc, out["n_samples"]) == (cli.EXIT_OK, len(raw))
+    expected = PowerTrace("nano", "calibrated", "mW", ts,
+                          NANO.slope * raw.values + NANO.intercept_mw)
+    assert (tmp_path / "cal.csv").read_bytes() == oracle_trace_csv(expected)
 
 
 def test_peak_finds_boot_current(capsys, files):

@@ -13,7 +13,7 @@ from jetcal.errors import ParseError
 from jetcal.ingest import (parse_trace, parse_value_trace, power_from_channels,
                            write_trace)
 
-from conftest import make_trace
+from conftest import make_trace, oracle_trace_csv
 
 
 def channels(rows):
@@ -606,3 +606,73 @@ def test_voltage_trace_cannot_be_serialized():
     with pytest.raises(ValueError):
         write_trace(make_trace([0], [5.0], unit="V", source="external"),
                     "/dev/null")
+
+
+# Values whose repr is easy to get wrong: signed zeros, the least
+# subnormal, and both sides of repr's switch to exponent form.
+TRICKY = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1.0000000000000002e16,
+          1e-5, 0.0001, 9.999999999999999e-05, 0.00010000000000000002, 1e22, 123.456, -7.5]
+
+
+def written(trace, tmp_path, chunk_lines=None):
+    """(file bytes, the text of each write) of write_trace(trace)."""
+    writes = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+        fh.write = lambda text: writes.append(text) or write(text)
+        return fh
+
+    path = tmp_path / "w.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "open", recording_open, raising=False)
+        if chunk_lines:
+            mp.setattr(ingest, "_CHUNK_LINES", chunk_lines)
+        write_trace(trace, path)
+    return path.read_bytes(), writes
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=st.lists(st.sampled_from(TRICKY) | st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=1, max_size=5),
+       picks=st.lists(st.integers(0, 4), max_size=40),
+       steps=st.lists(st.integers(1, 2**40), min_size=40, max_size=40),
+       t0=st.integers(0, 2**62),
+       unit=st.sampled_from(["mW", "mA"]),
+       chunk_lines=st.sampled_from([1, 2, 3, ingest._CHUNK_LINES]))
+def test_write_matches_per_row_repr(tmp_path_factory, pool, picks, steps, t0, unit,
+                                    chunk_lines):
+    # Picks into a small pool repeat values both next to each other and apart.
+    values = [pool[i % len(pool)] for i in picks]
+    ts = t0 + np.cumsum(steps[:len(values)], dtype=np.int64)
+    trace = make_trace(ts, values, unit=unit, source="external" if unit == "mA" else "internal")
+    data, writes = written(trace, tmp_path_factory.mktemp("write"), chunk_lines)
+    assert data == oracle_trace_csv(trace)
+    assert max(text.count("\n") for text in writes) <= chunk_lines
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 3, ingest._CHUNK_LINES])
+def test_signed_zeros_keep_their_own_repr(tmp_path, chunk_lines):
+    trace = make_trace(range(8), [0.0, -0.0, -0.0, 0.0, 5e-324, -0.0, 0.0, 5e-324])
+    data, _ = written(trace, tmp_path, chunk_lines)
+    assert data == oracle_trace_csv(trace)
+    assert data.split(b"\n")[1:4] == [b"0,0.0", b"1,-0.0", b"2,-0.0"]
+
+
+@pytest.mark.parametrize("unit, header", [("mW", "power_mw"), ("mA", "current_ma")])
+def test_empty_trace_writes_only_the_header(tmp_path, unit, header):
+    data, writes = written(make_trace([], [], unit=unit), tmp_path)
+    assert data == f"timestamp_us,{header}\n".encode()
+    assert len(writes) == 1
+
+
+def test_held_values_write_in_chunks(tmp_path, rng):
+    # A record's shape: each node value is re-read for many rows.
+    n = 3 * ingest._CHUNK_LINES + 5
+    ts = np.cumsum(rng.integers(10, 41, n))
+    values = np.repeat(rng.uniform(1000.0, 20000.0, n // 300 + 1), 300)[:n]
+    trace = make_trace(ts, values)
+    data, writes = written(trace, tmp_path)
+    assert data == oracle_trace_csv(trace)
+    assert [text.count("\n") for text in writes] == [1] + [ingest._CHUNK_LINES] * 3 + [5]

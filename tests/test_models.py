@@ -11,7 +11,7 @@ from jetcal.errors import (InsufficientDataError, InvalidReadingError,
                            ParseError, UnknownDeviceError)
 from jetcal.models import (BOOT_PEAK_CURRENT_MA, BUILTIN_MODELS,
                            NEGATIVE_CALIBRATED_WARNING, CalibrationModel,
-                           EnergyReport, apply_model, apply_trace, get_model,
+                           EnergyReport, apply_trace, get_model,
                            integrate_energy, invert_model, load_models,
                            parse_model_line, save_models)
 
@@ -88,24 +88,34 @@ def test_device_id_canonicalized():
 
 # ── apply / invert ──────────────────────────────────────────────────────
 
+def calibrated(model, *raw_mw):
+    """apply_trace of readings taken 1 us apart, as Python floats."""
+    return apply_trace(model, make_trace(range(len(raw_mw)), raw_mw)).values.tolist()
+
+
 def test_apply_nano_10w():
-    assert apply_model(NANO, 10000.0) == 1.11 * 10000.0 + 232.60
-    assert apply_model(NANO, 10000.0) == pytest.approx(11332.60)
+    assert calibrated(NANO, 10000.0) == [1.11 * 10000.0 + 232.60]
+    assert calibrated(NANO, 10000.0) == [pytest.approx(11332.60)]
 
 
 def test_apply_tx2_20w():
-    assert apply_model(TX2, 20000.0) == 0.90 * 20000.0 + 1998.80
-    assert apply_model(TX2, 20000.0) == pytest.approx(19998.80)
+    assert calibrated(TX2, 20000.0) == [0.90 * 20000.0 + 1998.80]
+    assert calibrated(TX2, 20000.0) == [pytest.approx(19998.80)]
 
 
 def test_apply_orin_zero_returns_intercept():
-    assert apply_model(ORIN, 0.0) == 3115.39
+    assert calibrated(ORIN, 0.0) == [3115.39]
 
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-9, math.nan, math.inf])
 def test_apply_rejects_invalid_reading(bad):
-    with pytest.raises(InvalidReadingError):
-        apply_model(NANO, bad)
+    if math.isfinite(bad):
+        with pytest.raises(InvalidReadingError):
+            calibrated(NANO, 100.0, bad)
+    else:
+        # A non-finite reading cannot enter a trace at all.
+        with pytest.raises(ValueError, match="finite"):
+            make_trace([0, 1], [100.0, bad])
 
 
 def test_invert_nano_recovers_10w():
@@ -121,10 +131,10 @@ def test_invert_at_intercept_is_zero():
 def test_round_trip_100_random_values(rng):
     for m in BUILTIN_MODELS.values():
         raw = rng.uniform(0.0, 50000.0, 100)
-        for x in raw:
-            assert invert_model(m, apply_model(m, x)) == pytest.approx(x, rel=1e-9)
+        for x, y in zip(raw, calibrated(m, *raw)):
+            assert invert_model(m, y) == pytest.approx(x, rel=1e-9)
             p = float(rng.uniform(m.intercept_mw, 60000.0))
-            assert apply_model(m, invert_model(m, p)) == pytest.approx(p, rel=1e-9)
+            assert calibrated(m, invert_model(m, p)) == [pytest.approx(p, rel=1e-9)]
 
 
 @given(st.floats(0, 1e6), st.floats(0, 1e6))
@@ -133,8 +143,9 @@ def test_apply_is_strictly_monotone(a, b):
         return
     lo, hi = sorted((a, b))
     for m in (NANO, TX2):
-        if apply_model(m, lo) != apply_model(m, hi):
-            assert apply_model(m, lo) < apply_model(m, hi)
+        at_lo, at_hi = calibrated(m, lo, hi)
+        if at_lo != at_hi:
+            assert at_lo < at_hi
 
 
 # ── apply_trace ─────────────────────────────────────────────────────────
@@ -157,8 +168,8 @@ def test_apply_trace_matches_scalar_apply_per_element():
     vals = [1000.0, 2000.0, 3000.0]
     out = apply_trace(NANO, make_trace(ts, vals))
     assert out.timestamps_us.tolist() == ts
-    for got, raw in zip(out.values, vals):
-        assert got == apply_model(NANO, raw)
+    for got, raw in zip(out.values.tolist(), vals):
+        assert got == NANO.slope * raw + NANO.intercept_mw
 
 
 def test_apply_trace_abort_on_negative_sample():
