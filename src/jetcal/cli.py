@@ -5,6 +5,12 @@ Subcommands: record, calibrate, apply, validate, energy, peak.
 Exit codes: 0 success or gate pass, 1 validation gate fail, 2 usage or
 configuration error, 3 data error. With --json each command prints one
 JSON object per line carrying exactly the values of the human output.
+
+Building the parser loads no numpy and no pipeline module: each command
+imports what it runs when it starts, so `energy` and `apply` load
+`ingest` and `models`, `peak` loads `ingest` and `signal`, `calibrate`
+and `validate` load those three and `regression`, `record` loads
+`sensor` and `ingest`, and only `record --exec` loads `subprocess`.
 """
 
 from __future__ import annotations
@@ -12,15 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import shlex
-import subprocess
 import sys
 from pathlib import Path
 
-from . import ingest, models, regression, sensor
-from . import signal as sig
 from .errors import ConfigError, DataError
-from .traces import canonical_device_id
 
 EXIT_OK = 0
 EXIT_GATE_FAIL = 1
@@ -68,7 +69,10 @@ def _require_writable(*paths) -> None:
             raise ConfigError(f"output directory does not exist for: {p}")
 
 
-def _resolve_model(device: str | None, model_file: str | None) -> models.CalibrationModel:
+def _resolve_model(device: str | None, model_file: str | None):
+    from . import models
+    from .traces import canonical_device_id
+
     if model_file is not None:
         _require_inputs(model_file)
         registry = models.load_models(model_file)
@@ -90,7 +94,7 @@ def _resolve_model(device: str | None, model_file: str | None) -> models.Calibra
     raise ConfigError("need --device (registry) or --model <file>")
 
 
-def _report_dict(report: regression.FitReport) -> dict:
+def _report_dict(report) -> dict:
     m = report.model
     return {
         "device": m.device,
@@ -106,8 +110,12 @@ def _report_dict(report: regression.FitReport) -> dict:
     }
 
 
-def _paired_pipeline(args) -> regression.PairedDataset:
+def _paired_pipeline(args):
     """Shared calibrate/validate front: parse, filter both streams, align."""
+    from . import ingest
+    from . import signal as sig
+    from .traces import canonical_device_id
+
     _require_inputs(args.internal_csv, args.external_csv)
     device = canonical_device_id(args.device) if args.device else "unknown"
     internal = ingest.parse_trace(args.internal_csv, "internal_csv", device)
@@ -119,20 +127,31 @@ def _paired_pipeline(args) -> regression.PairedDataset:
 
 
 def cmd_record(args) -> int:
+    from . import ingest, sensor
+
     profile = sensor.load_profile(sensor.resolve_profile(args.profile))
     _require_writable(args.out)
     buffer = sensor.SampleBuffer()
     workload_exit = None
     if args.exec_cmd is not None:
+        import shlex
+        import subprocess
+
         try:
             child = subprocess.Popen(shlex.split(args.exec_cmd))
         except OSError as exc:
             raise ConfigError(f"cannot spawn workload: {exc}") from exc
-        stats = sensor.run_sampler(
-            profile, buffer,
-            should_stop=lambda: child.poll() is not None,
-            max_rate_hz=args.max_rate_hz,
-        )
+        try:
+            stats = sensor.run_sampler(
+                profile, buffer,
+                should_stop=lambda: child.poll() is not None,
+                max_rate_hz=args.max_rate_hz,
+            )
+        except BaseException:
+            # Whatever ends sampling early ends the workload it measures.
+            child.terminate()
+            child.wait()
+            raise
         workload_exit = child.wait()
     else:
         stats = sensor.run_sampler(profile, buffer, duration_s=args.duration,
@@ -163,6 +182,8 @@ def cmd_record(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from . import models, regression
+
     _require_writable(args.out_model)
     pairs = _paired_pipeline(args)
     report = regression.fit(pairs, args.floor_mw)
@@ -183,6 +204,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import regression
+
     model = _resolve_model(args.device, args.model_file)
     pairs = _paired_pipeline(args)
     report = regression.evaluate(model, pairs, args.floor_mw)
@@ -195,6 +218,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    from . import ingest, models
+
     _require_inputs(args.input_csv)
     _require_writable(args.out)
     model = _resolve_model(args.device, args.model_file)
@@ -219,6 +244,8 @@ def cmd_apply(args) -> int:
 
 
 def cmd_energy(args) -> int:
+    from . import ingest, models
+
     _require_inputs(args.input_csv)
     trace = ingest.parse_trace(args.input_csv, "internal_csv", args.device or "unknown")
     calibrated_with = None
@@ -238,6 +265,9 @@ def cmd_energy(args) -> int:
 
 
 def cmd_peak(args) -> int:
+    from . import ingest
+    from . import signal as sig
+
     _require_inputs(args.input_csv)
     trace = ingest.parse_value_trace(args.input_csv)
     report = sig.detect_peak(trace, args.threshold)
@@ -254,16 +284,17 @@ def cmd_peak(args) -> int:
 
 
 def _add_pipeline_flags(sub) -> None:
-    sub.add_argument("--window-us", type=_positive_int, default=sig.DEFAULT_WINDOW_US,
+    # The defaults are the library's DEFAULT_* constants, written out so that
+    # building the parser imports no pipeline module; a test pins them.
+    sub.add_argument("--window-us", type=_positive_int, default=100_000,
                      dest="window_us",
                      help="moving-average window in us (default: 100000)")
-    sub.add_argument("--max-gap-us", type=_non_negative_int, default=sig.DEFAULT_MAX_GAP_US,
+    sub.add_argument("--max-gap-us", type=_non_negative_int, default=10_000,
                      dest="max_gap_us",
                      help="max staleness of bracketing external samples (default: 10000)")
-    sub.add_argument("--floor-mw", type=_finite_float,
-                     default=regression.DEFAULT_LOW_POWER_FLOOR_MW, dest="floor_mw",
+    sub.add_argument("--floor-mw", type=_finite_float, default=100.0, dest="floor_mw",
                      help="exclude pairs below this external power from %% metrics")
-    sub.add_argument("--coil-turns", type=_positive_int, default=ingest.DEFAULT_COIL_TURNS,
+    sub.add_argument("--coil-turns", type=_positive_int, default=10,
                      dest="coil_turns",
                      help="coil windings under the current clamp (default: 10)")
 
@@ -285,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("record", "sample the internal sensor into a CSV")
     p.add_argument("--profile", required=True,
                    help="device profile path or name (searched via "
-                        f"${sensor.PROFILE_PATH_ENV})")
+                        "$JETCAL_PROFILE_PATH)")
     stop = p.add_mutually_exclusive_group(required=True)
     stop.add_argument("--duration", type=_positive_float, help="seconds to record")
     stop.add_argument("--exec", dest="exec_cmd", metavar="CMD",

@@ -2,16 +2,24 @@
 
 Every test calls `cli.main` in-process on files written from
 `synth.synthetic_pair` or shaped like a `record` output, and checks the exit code, the one-line `--json`
-output and, for failures, the single `error: ...` line on stderr.
+output and, for failures, the single `error: ...` line on stderr. The
+import budgets alone run in a fresh interpreter, whose `sys.modules` is
+not the test process's.
 """
 
 import functools
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jetcal import cli, ingest, sensor, synth
+from jetcal import cli, ingest, regression, sensor, synth
+from jetcal import signal as sig
 from jetcal.models import BOOT_PEAK_CURRENT_MA, get_model
 from jetcal.traces import PowerTrace
 
@@ -285,7 +293,7 @@ def file_node_profile(tmp_path, content):
 
 def test_record_overflow_exits_data_after_writing_kept_rows(capsys, monkeypatch, tmp_path):
     profile = file_node_profile(tmp_path, "4321\n")
-    monkeypatch.setattr(cli.sensor, "SampleBuffer",
+    monkeypatch.setattr(sensor, "SampleBuffer",
                         functools.partial(sensor.SampleBuffer, maxlen=10))
     out_csv = tmp_path / "rec.csv"
     rc, out, err = run(capsys, "record", "--profile", profile, "--duration", 0.05,
@@ -295,6 +303,38 @@ def test_record_overflow_exits_data_after_writing_kept_rows(capsys, monkeypatch,
     recorded = ingest.parse_trace(out_csv, "internal_csv")
     assert len(recorded) == 10
     assert np.all(recorded.values == 4321.0)
+
+
+def test_record_exec_reports_workload_exit_code(capsys, tmp_path):
+    out_csv = tmp_path / "rec.csv"
+    rc, out = run_json(capsys, "record", "--profile", file_node_profile(tmp_path, "4321\n"),
+                       "--exec", "sh -c 'sleep 0.05; exit 7'", "--out", out_csv)
+    assert (rc, out["workload_exit_code"]) == (cli.EXIT_OK, 7)
+    assert set(out) == RECORD_KEYS | {"workload_exit_code"}
+    recorded = ingest.parse_trace(out_csv, "internal_csv")
+    assert len(recorded) == out["samples_taken"] > 0
+
+
+def test_record_exec_reaps_workload_when_sampling_aborts(capsys, monkeypatch, tmp_path):
+    spawned = []
+
+    def keep(*args, real_popen=subprocess.Popen, **kwargs):
+        spawned.append(real_popen(*args, **kwargs))
+        return spawned[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", keep)
+    try:
+        rc, out, err = run(capsys, "record", "--profile", file_node_profile(tmp_path, "nan\n"),
+                           "--exec", "sleep 7.77", "--out", tmp_path / "rec.csv")
+        assert (rc, out) == (cli.EXIT_DATA, "")
+        assert_one_error_line(err, "sampler aborted: 20/20 node reads failed")
+        (child,) = spawned
+        assert child.returncode == -signal.SIGTERM
+    finally:
+        for child in spawned:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
 
 
 @pytest.mark.parametrize("content", ["nan\n", "inf\n", "-inf\n"])
@@ -325,3 +365,47 @@ def test_record_tolerates_node_non_finite_on_one_read_in_ten(capsys, monkeypatch
     recorded = ingest.parse_trace(out_csv, "internal_csv")
     assert len(recorded) == out["samples_taken"]
     assert np.all(recorded.values == 4321.0)
+
+
+# ── what the parser and each command load ───────────────────────────────
+
+@pytest.mark.parametrize("command", ["calibrate", "validate"])
+def test_parser_defaults_are_the_library_defaults(command):
+    args = cli.build_parser().parse_args([command, "in.csv", "ext.csv", "--device", "nano"])
+    got = (args.window_us, args.max_gap_us, args.floor_mw, args.coil_turns)
+    want = (sig.DEFAULT_WINDOW_US, sig.DEFAULT_MAX_GAP_US,
+            regression.DEFAULT_LOW_POWER_FLOOR_MW, ingest.DEFAULT_COIL_TURNS)
+    assert [(v, type(v)) for v in got] == [(v, type(v)) for v in want]
+
+
+def test_record_help_names_the_profile_search_variable(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["record", "--help"])
+    assert f"${sensor.PROFILE_PATH_ENV})" in capsys.readouterr().out
+
+
+def loaded_modules(code):
+    """The names in sys.modules of a fresh interpreter after it runs code."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_building_the_parser_loads_no_numpy_and_no_pipeline_module():
+    loaded = loaded_modules("import jetcal.cli; jetcal.cli.build_parser()")
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("jetcal.")} == {"jetcal.cli", "jetcal.errors"}
+
+
+def test_energy_loads_only_what_it_runs(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("timestamp_us,power_mw\n0,1000.0\n1000,2000.0\n")
+    loaded = loaded_modules(
+        f"import jetcal.cli; assert jetcal.cli.main(['energy', {str(path)!r}]) == 0")
+    assert "jetcal.ingest" in loaded
+    assert not {"jetcal.regression", "jetcal.signal", "jetcal.sensor",
+                "subprocess"} & loaded
