@@ -138,7 +138,11 @@ def cmd_record(args) -> int:
         import subprocess
 
         try:
-            child = subprocess.Popen(shlex.split(args.exec_cmd))
+            argv = shlex.split(args.exec_cmd)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse workload command: {exc}") from None
+        try:
+            child = subprocess.Popen(argv)
         except OSError as exc:
             raise ConfigError(f"cannot spawn workload: {exc}") from exc
         try:
@@ -292,7 +296,7 @@ def _add_pipeline_flags(sub) -> None:
     sub.add_argument("--max-gap-us", type=_non_negative_int, default=10_000,
                      dest="max_gap_us",
                      help="max staleness of bracketing external samples (default: 10000)")
-    sub.add_argument("--floor-mw", type=_finite_float, default=100.0, dest="floor_mw",
+    sub.add_argument("--floor-mw", type=_positive_float, default=100.0, dest="floor_mw",
                      help="exclude pairs below this external power from %% metrics")
     sub.add_argument("--coil-turns", type=_positive_int, default=10,
                      dest="coil_turns",

@@ -32,7 +32,7 @@ class ProfileError(ConfigError):
 
 
 class InvalidReadingError(DataError):
-    """Power reading is negative or non-finite."""
+    """A power reading, an aligned pair or an energy integral is invalid (< 0)."""
 
 
 class InsufficientDataError(DataError):
@@ -88,6 +88,10 @@ class SensorReadError(DataError):
     """A sensor node could not be read or did not contain a number."""
 
 
+# The sampler aborts when more than this fraction of its node reads fail.
+ERROR_RATE_LIMIT = 0.10
+
+
 class SamplerFailedError(DataError):
     """The sampling loop aborted because too many node reads failed."""
 
@@ -96,5 +100,5 @@ class SamplerFailedError(DataError):
         self.attempts = attempts
         super().__init__(
             f"sampler aborted: {read_errors}/{attempts} node reads failed "
-            f"(threshold 10%)"
+            f"(threshold {ERROR_RATE_LIMIT:.0%})"
         )

@@ -60,17 +60,6 @@ class EnergyReport:
     duration_us: int
     mean_power_mw: float
 
-    def __post_init__(self):
-        if self.energy_mj < 0:
-            raise ValueError(f"energy must be >= 0, got {self.energy_mj}")
-        if self.duration_us < 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration_us}")
-        # derived-field consistency, 1e-9 relative
-        lhs = self.mean_power_mw * self.duration_us
-        rhs = self.energy_mj * 1e6
-        if abs(lhs - rhs) > 1e-9 * max(abs(lhs), abs(rhs), 1.0):
-            raise ValueError("mean_power_mw inconsistent with energy and duration")
-
 
 # Factory calibration models; coefficients are decimal literals on purpose
 # and must never be recomputed.
@@ -113,7 +102,7 @@ def apply_trace(model: CalibrationModel, trace: PowerTrace,
     """Calibrate every sample of an internal-sensor trace.
 
     Timestamps are preserved and the result is marked source="calibrated".
-    Invalid samples (negative or non-finite) abort by default; with
+    Negative samples are invalid and abort by default; with
     on_invalid="skip" they are dropped instead. If the model maps any
     sample below zero the output carries a warning flag rather than being
     clipped.
@@ -121,7 +110,7 @@ def apply_trace(model: CalibrationModel, trace: PowerTrace,
     if on_invalid not in ("abort", "skip"):
         raise ValueError(f"on_invalid must be 'abort' or 'skip', got {on_invalid!r}")
     raw = trace.values
-    bad = ~(np.isfinite(raw) & (raw >= 0))
+    bad = raw < 0
     ts = trace.timestamps_us
     if bad.any():
         if on_invalid == "abort":
@@ -143,13 +132,16 @@ def integrate_energy(trace: PowerTrace) -> EnergyReport:
     """Trapezoidal energy integral of a power trace, in millijoules.
 
     mW times us is nJ, hence the 1e6 reconciliation to mJ. Requires at
-    least two samples.
+    least two samples, and raises InvalidReadingError when the integral
+    is below zero.
     """
     if len(trace) < 2:
         raise InsufficientDataError(
             f"energy integration needs >= 2 samples, got {len(trace)}"
         )
     energy_mj = float(np.trapezoid(trace.values, trace.timestamps_us)) / 1e6
+    if energy_mj < 0:
+        raise InvalidReadingError(f"energy over the trace is negative: {energy_mj!r} mJ")
     duration_us = trace.span_us
     mean_power_mw = energy_mj * 1e6 / duration_us
     return EnergyReport(energy_mj, duration_us, mean_power_mw)

@@ -17,38 +17,23 @@ import numpy as np
 from .errors import (DegenerateDataError, InsufficientDataError,
                      NoEvaluableDataError, SuspiciousFitError)
 from .models import CalibrationModel
-from .traces import canonical_device_id
 
 DEFAULT_LOW_POWER_FLOOR_MW = 100.0
 
 
 @dataclass(frozen=True, eq=False)
 class PairedDataset:
-    """Time-aligned (internal_mw, external_mw) observations for one device."""
+    """Time-aligned (internal_mw, external_mw) observations for one device.
+
+    signal.align builds it from two PowerTraces and refuses negative
+    pairs, so its columns are 1-d, of equal length, finite and >= 0, with
+    strictly increasing timestamps; nothing here checks them again.
+    """
 
     device: str
     timestamps_us: np.ndarray
     internal_mw: np.ndarray
     external_mw: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "device", canonical_device_id(self.device))
-        ts = np.asarray(self.timestamps_us, dtype=np.int64)
-        x = np.asarray(self.internal_mw, dtype=np.float64)
-        y = np.asarray(self.external_mw, dtype=np.float64)
-        if not (ts.shape == x.shape == y.shape) or ts.ndim != 1:
-            raise ValueError("dataset columns must be 1-d arrays of equal length")
-        if len(ts) > 1 and not np.all(np.diff(ts) > 0):
-            raise ValueError("timestamps must be strictly increasing")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("observations must be finite")
-        if len(x) and (x.min() < 0 or y.min() < 0):
-            raise ValueError("observations must be >= 0")
-        for arr in (ts, x, y):
-            arr.setflags(write=False)
-        object.__setattr__(self, "timestamps_us", ts)
-        object.__setattr__(self, "internal_mw", x)
-        object.__setattr__(self, "external_mw", y)
 
     def __len__(self) -> int:
         return len(self.timestamps_us)
@@ -64,12 +49,6 @@ class FitReport:
     r_squared: float
     n_samples: int
     excluded_low_power: int
-
-    def __post_init__(self):
-        if not (0 <= self.mae_pct <= self.max_abs_err_pct):
-            raise ValueError("need 0 <= mae_pct <= max_abs_err_pct")
-        if not (0 <= self.r_squared <= 1):
-            raise ValueError(f"r_squared must lie in [0, 1], got {self.r_squared}")
 
 
 def fit(data: PairedDataset,
@@ -110,11 +89,14 @@ def evaluate(model: CalibrationModel, data: PairedDataset,
     """Percentage-error metrics of a model against reference pairs.
 
     err_i = |predicted_i - external_i| / external_i * 100 over pairs with
-    external_mw >= low_power_floor_mw (boundary included). r_squared is
+    external_mw >= low_power_floor_mw (boundary included); the floor must
+    be positive, so no included pair divides by zero. r_squared is
     the squared Pearson correlation between predictions and external
     values, which coincides with the OLS coefficient of determination
     when the model was fitted on this very data.
     """
+    if not low_power_floor_mw > 0:
+        raise ValueError(f"low-power floor must be positive, got {low_power_floor_mw}")
     if len(data) == 0:
         raise NoEvaluableDataError("dataset is empty")
     included = data.external_mw >= low_power_floor_mw

@@ -22,7 +22,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ProfileError, SamplerFailedError, SensorReadError
+from .errors import (ERROR_RATE_LIMIT, ProfileError, SamplerFailedError,
+                     SensorReadError)
 from .traces import PowerSample, PowerTrace, canonical_device_id
 
 MODES = ("whole_board", "sum_rails")
@@ -31,8 +32,7 @@ UNIT_SCALE = {"mw": 1.0, "uw": 1e-3}
 PROFILE_PATH_ENV = "JETCAL_PROFILE_PATH"
 REPLAY_PREFIX = "replay:"
 
-# Abort the sampling loop when more than this fraction of reads fail.
-ERROR_RATE_LIMIT = 0.10
+# ERROR_RATE_LIMIT is judged from this many read attempts on.
 _ERROR_RATE_MIN_ATTEMPTS = 20
 
 

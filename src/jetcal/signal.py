@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BaselineUndefinedError, EmptyOverlapError,
-                     InsufficientDataError, UnitError)
+                     InsufficientDataError, InvalidReadingError, UnitError)
 from .regression import PairedDataset
 from .traces import PowerTrace
 
@@ -76,6 +76,8 @@ def align(internal: PowerTrace, external: PowerTrace,
     bracketing external samples are within max_gap_us of the internal
     timestamp, so stale interpolations across recording gaps are dropped.
     Interpolation at an exact external knot returns the knot value.
+    A kept pair with a negative value raises InvalidReadingError, naming
+    the first such pair's stream, value and timestamp.
     """
     if len(internal) == 0 or len(external) == 0:
         raise EmptyOverlapError("both traces must be non-empty")
@@ -94,9 +96,6 @@ def align(internal: PowerTrace, external: PowerTrace,
     in_span = (internal.timestamps_us >= lo) & (internal.timestamps_us <= hi)
     ts = internal.timestamps_us[in_span]
     raw = internal.values[in_span]
-    if len(ts) == 0:
-        return PairedDataset(internal.device,
-                             np.empty(0, np.int64), np.empty(0), np.empty(0))
 
     left = np.searchsorted(ext_ts, ts, side="right") - 1
     at_knot = ext_ts[left] == ts
@@ -112,7 +111,15 @@ def align(internal: PowerTrace, external: PowerTrace,
     interp = ext_vals[left] + (ext_vals[right] - ext_vals[left]) * frac
     interp = np.where(at_knot, ext_vals[left], interp)
 
-    return PairedDataset(internal.device, ts[keep], raw[keep], interp[keep])
+    ts, raw, interp = ts[keep], raw[keep], interp[keep]
+    negative = (raw < 0) | (interp < 0)
+    if negative.any():
+        i = int(np.argmax(negative))
+        stream, value = ("internal", raw[i]) if raw[i] < 0 else ("external", interp[i])
+        raise InvalidReadingError(
+            f"aligned {stream} power {float(value)!r} mW at t={int(ts[i])} us is negative"
+        )
+    return PairedDataset(internal.device, ts, raw, interp)
 
 
 @dataclass(frozen=True)
@@ -124,12 +131,6 @@ class PeakReport:
     baseline: float
     duration_above_threshold_us: int
     threshold: float
-
-    def __post_init__(self):
-        if self.peak_value < self.baseline:
-            raise ValueError("peak below baseline")
-        if self.duration_above_threshold_us < 0:
-            raise ValueError("negative duration")
 
 
 def detect_peak(trace: PowerTrace, threshold: float) -> PeakReport:

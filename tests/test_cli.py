@@ -184,7 +184,10 @@ def test_record_from_replay(capsys, files, tmp_path):
     ("calibrate", "--coil-turns", "0"),
     ("calibrate", "--max-gap-us", "-1"),
     ("calibrate", "--floor-mw", "nan"),
+    ("calibrate", "--floor-mw", "0"),
     ("validate", "--floor-mw", "inf"),
+    ("validate", "--floor-mw", "0"),
+    ("validate", "--floor-mw", "-100"),
     ("record", "--duration", "nan"),
     ("record", "--duration", "-1"),
     ("record", "--duration", "0"),
@@ -257,6 +260,42 @@ def test_malformed_row_exits_data(capsys, files, tmp_path):
         assert_one_error_line(err, f"{bad}:{i + 1}: expected 3 columns, got 2")
 
 
+def power_csv(path, values):
+    """A power_mw CSV of values 1 ms apart from t=0."""
+    ts = 1000 * np.arange(len(values))
+    ingest.write_trace(PowerTrace("nano", "internal", "mW", ts, values), path)
+    return path
+
+
+@pytest.mark.parametrize("command, stream", [("calibrate", "internal"),
+                                             ("validate", "external")])
+def test_negative_averaged_pair_exits_data(capsys, tmp_path, command, stream):
+    # Over a 1 ms window each average is one sample, so rows 151-159 stay at -5.
+    values = {"internal": 1000.0 + np.arange(400.0), "external": 1300.0 + np.arange(400.0)}
+    values[stream][151:160] = -5.0
+    files = [power_csv(tmp_path / f"{name}.csv", v) for name, v in values.items()]
+    rc, out, err = run(capsys, command, *files, "--device", "nano", "--window-us", 1000)
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, f"aligned {stream} power -5.0 mW at t=151000 us is negative")
+
+
+def test_energy_below_zero_exits_data(capsys, tmp_path):
+    path = power_csv(tmp_path / "raw.csv", [100.0, -300.0, 50.0])
+    rc, out, err = run(capsys, "energy", path)
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, "energy over the trace is negative: ")
+
+
+def test_energy_calibrated_below_zero_exits_data(capsys, tmp_path):
+    path = power_csv(tmp_path / "raw.csv", 100.0 + np.arange(50.0) % 3)
+    model = tmp_path / "low.model"
+    model.write_text("device=nano slope=1.0 intercept_mw=-5000.0 error_pct=1.0 "
+                     "provenance=fitted\n")
+    rc, out, err = run(capsys, "energy", path, "--model", model)
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, "energy over the trace is negative: ")
+
+
 def test_undecodable_csv_exits_data(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"timestamp_us,power_mw\n0,1.0\n1000,2\xb0\n")
@@ -313,6 +352,25 @@ def test_record_exec_reports_workload_exit_code(capsys, tmp_path):
     assert set(out) == RECORD_KEYS | {"workload_exit_code"}
     recorded = ingest.parse_trace(out_csv, "internal_csv")
     assert len(recorded) == out["samples_taken"] > 0
+
+
+def test_record_exec_with_unbalanced_quote_exits_config(capsys, tmp_path):
+    out_csv = tmp_path / "rec.csv"
+    rc, out, err = run(capsys, "record", "--profile", file_node_profile(tmp_path, "4321\n"),
+                       "--exec", "sh -c 'oops", "--out", out_csv)
+    assert (rc, out) == (cli.EXIT_CONFIG, "")
+    assert_one_error_line(err, "cannot parse workload command: No closing quotation")
+    assert not out_csv.exists()
+
+
+def test_record_max_rate_throttles_the_sampler(capsys, tmp_path):
+    # 200 Hz for 0.2 s is at most 40 ticks plus the first read; a slow
+    # host can only take fewer, so there is no lower bound but one sample.
+    rc, out = run_json(capsys, "record", "--profile", file_node_profile(tmp_path, "4321\n"),
+                       "--max-rate-hz", 200, "--duration", 0.2, "--out", tmp_path / "rec.csv")
+    assert rc == cli.EXIT_OK
+    assert 1 <= out["samples_taken"] <= 41
+    assert len(ingest.parse_trace(tmp_path / "rec.csv", "internal_csv")) == out["samples_taken"]
 
 
 def test_record_exec_reaps_workload_when_sampling_aborts(capsys, monkeypatch, tmp_path):

@@ -239,7 +239,7 @@ def test_unknown_format_rejected(tmp_path):
 
 def test_negative_values_allowed_where_no_sign_rule(tmp_path):
     # Only supply voltage and rail readings must be >= 0; a raw internal
-    # reading below zero is for apply --on-invalid to judge.
+    # reading below zero is for the command that uses it to judge.
     path = write_csv(tmp_path / "t.csv", "timestamp_us,power_mw", [(0, -1.5), (10, 2.0)])
     assert parse_trace(path, "internal_csv").values.tolist() == [-1.5, 2.0]
 

@@ -11,7 +11,7 @@ from jetcal.errors import (InsufficientDataError, InvalidReadingError,
                            ParseError, UnknownDeviceError)
 from jetcal.models import (BOOT_PEAK_CURRENT_MA, BUILTIN_MODELS,
                            NEGATIVE_CALIBRATED_WARNING, CalibrationModel,
-                           EnergyReport, apply_trace, get_model,
+                           apply_trace, get_model,
                            integrate_energy, invert_model, load_models,
                            parse_model_line, save_models)
 
@@ -231,9 +231,21 @@ def test_energy_scales_linearly_with_power(rng):
         assert scaled == pytest.approx(alpha * base, rel=1e-12)
 
 
-def test_energy_report_consistency_enforced():
-    with pytest.raises(ValueError):
-        EnergyReport(energy_mj=10.0, duration_us=1_000_000, mean_power_mw=99.0)
+@given(st.lists(st.floats(0.0, 1e5), min_size=2, max_size=50))
+def test_energy_report_mean_power_is_energy_over_duration(values):
+    ts = np.arange(len(values), dtype=np.int64) * 1000
+    report = integrate_energy(make_trace(ts, values))
+    assert report.duration_us == ts[-1]
+    lhs = report.mean_power_mw * report.duration_us
+    rhs = report.energy_mj * 1e6
+    assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
+
+
+def test_energy_below_zero_is_invalid_reading():
+    with pytest.raises(InvalidReadingError, match=r"negative: -0\.002 mJ"):
+        integrate_energy(make_trace([0, 1000], [-1.0, -3.0]))
+    # A sample below zero is fine while the integral is not.
+    assert integrate_energy(make_trace([0, 1000], [-1.0, 1.0])).energy_mj == 0.0
 
 
 # ── model file round trip ───────────────────────────────────────────────

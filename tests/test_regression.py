@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetcal.errors import (DegenerateDataError, InsufficientDataError,
-                           NoEvaluableDataError, SuspiciousFitError)
+                           InvalidReadingError, NoEvaluableDataError,
+                           SuspiciousFitError)
 from jetcal.models import BUILTIN_MODELS, CalibrationModel, invert_model
 from jetcal.regression import PairedDataset, evaluate, fit
+from jetcal.signal import align
+from jetcal.traces import PowerTrace
 
 from conftest import oracle_ols, oracle_sum_squared_residuals
 
@@ -151,6 +154,18 @@ def test_all_pairs_below_floor_raises():
                  low_power_floor_mw=100.0)
 
 
+@pytest.mark.parametrize("floor", [0.0, -1.0, float("nan")])
+def test_non_positive_floor_is_refused(floor):
+    # A zero reference power would divide by zero; a positive floor excludes it.
+    data = dataset([0.0, 100.0, 200.0], [0.0, 100.0, 200.0])
+    with pytest.raises(ValueError, match="floor must be positive"):
+        evaluate(NANO, data, low_power_floor_mw=floor)
+    with pytest.raises(ValueError, match="floor must be positive"):
+        fit(data, low_power_floor_mw=floor)
+    report = evaluate(NANO, data, low_power_floor_mw=1e-300)
+    assert (report.n_samples, report.excluded_low_power) == (2, 1)
+
+
 def test_evaluate_reproduces_fit_metrics_exactly(rng):
     x = rng.uniform(200.0, 15000.0, 800)
     y = (1.11 * x + 232.6) * (1.0 + 0.02 * rng.standard_normal(len(x)))
@@ -172,16 +187,14 @@ def test_metric_invariants_hold(rng):
     assert 0.0 <= report.r_squared <= 1.0
 
 
-# ── dataset invariants and report serialization ─────────────────────────
+# ── dataset invariants ──────────────────────────────────────────────────
 
 def test_dataset_rejects_negative_and_non_finite():
+    # align, the dataset's one producer, refuses a negative pair, and the
+    # traces it aligns refuse non-finite values.
+    ts = np.arange(3) * 1000
+    external = PowerTrace("nano", "external", "mW", ts, [1.0, 2.0, 3.0])
+    with pytest.raises(InvalidReadingError):
+        align(PowerTrace("nano", "internal", "mW", ts, [1.0, -2.0, 3.0]), external)
     with pytest.raises(ValueError):
-        dataset([1.0, -2.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        dataset([1.0, float("inf")], [1.0, 2.0])
-
-
-def test_dataset_rejects_unsorted_timestamps():
-    with pytest.raises(ValueError):
-        PairedDataset("nano", np.array([10, 5]), np.array([1.0, 2.0]),
-                      np.array([1.0, 2.0]))
+        PowerTrace("nano", "internal", "mW", ts, [1.0, float("inf"), 3.0])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetcal.errors import (BaselineUndefinedError, EmptyOverlapError,
-                           InsufficientDataError, UnitError)
+                           InsufficientDataError, InvalidReadingError, UnitError)
 from jetcal.signal import align, detect_peak, moving_average
 
 from conftest import make_trace, oracle_window_mean
@@ -200,6 +200,36 @@ def test_knot_coincident_alignment_is_exact(rng):
     internal = make_trace(ext_ts[::5], np.ones(len(ext_ts[::5])))
     pairs = align(internal, external, 10_000)
     np.testing.assert_array_equal(pairs.external_mw, ext_vals[::5])
+
+
+def test_internal_samples_only_around_external_span_give_no_pairs():
+    external = make_trace([400, 600], [1.0, 2.0], source="external")
+    internal = make_trace([0, 1000], [1.0, 2.0])
+    pairs = align(internal, external, 10_000)
+    assert len(pairs) == 0
+    assert (pairs.timestamps_us.dtype, pairs.internal_mw.dtype,
+            pairs.external_mw.dtype) == (np.int64, np.float64, np.float64)
+
+
+@pytest.mark.parametrize("stream", ["internal", "external"])
+def test_negative_pair_names_its_stream_value_and_time(stream):
+    ts = np.arange(0, 6000, 1000)
+    values = {"internal": [5.0] * 6, "external": [5.0] * 6}
+    values[stream][3] = -4.0
+    values[stream][4] = -1.0
+    internal = make_trace(ts, values["internal"])
+    external = make_trace(ts, values["external"], source="external")
+    with pytest.raises(InvalidReadingError) as exc:
+        align(internal, external, 10_000)
+    assert str(exc.value) == f"aligned {stream} power -4.0 mW at t=3000 us is negative"
+
+
+def test_negative_samples_that_pair_with_nothing_are_dropped():
+    # Outside the external span and across its 50 ms hole: never paired.
+    external = make_trace([1000, 2000, 52_000], [1.0, 1.0, 1.0], source="external")
+    internal = make_trace([0, 1500, 30_000, 60_000], [-1.0, 2.0, -3.0, -4.0])
+    pairs = align(internal, external, max_gap_us=10_000)
+    assert pairs.internal_mw.tolist() == [2.0]
 
 
 def test_empty_overlap_raises():
