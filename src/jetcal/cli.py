@@ -9,8 +9,10 @@ JSON object per line carrying exactly the values of the human output.
 Building the parser loads no numpy and no pipeline module: each command
 imports what it runs when it starts, so `energy` and `apply` load
 `ingest` and `models`, `peak` loads `ingest` and `signal`, `calibrate`
-and `validate` load those three and `regression`, `record` loads
-`sensor` and `ingest`, and only `record --exec` loads `subprocess`.
+and `validate` load those three and `regression`, and `record` loads
+`sensor` only, which writes its CSV without numpy (a `replay:` profile
+also loads `ingest` to parse what it replays). Only `record --exec`
+loads `subprocess`.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def _paired_pipeline(args):
 
 
 def cmd_record(args) -> int:
-    from . import ingest, sensor
+    from . import sensor
 
     profile = sensor.load_profile(sensor.resolve_profile(args.profile))
     _require_writable(args.out)
@@ -160,14 +162,13 @@ def cmd_record(args) -> int:
     else:
         stats = sensor.run_sampler(profile, buffer, duration_s=args.duration,
                                    max_rate_hz=args.max_rate_hz)
-    trace = buffer.to_trace(profile.device)
-    if len(trace) == 0:
+    if len(buffer) == 0:
         raise DataError("sampler produced no samples")
-    ingest.write_trace(trace, args.out)
+    buffer.write_csv(args.out)
     if buffer.dropped:
         raise DataError(
             f"sample buffer overflowed: dropped the oldest {buffer.dropped} of "
-            f"{stats.samples_taken} samples taken; {args.out} holds the last {len(trace)}"
+            f"{stats.samples_taken} samples taken; {args.out} holds the last {len(buffer)}"
         )
     result = {
         "device": profile.device,

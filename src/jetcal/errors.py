@@ -32,7 +32,8 @@ class ProfileError(ConfigError):
 
 
 class InvalidReadingError(DataError):
-    """A power reading, an aligned pair or an energy integral is invalid (< 0)."""
+    """A power reading, an aligned pair or an energy integral is invalid (< 0),
+    or the percentage errors against a reference are not finite."""
 
 
 class InsufficientDataError(DataError):

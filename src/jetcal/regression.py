@@ -10,12 +10,14 @@ counted instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateDataError, InsufficientDataError,
-                     NoEvaluableDataError, SuspiciousFitError)
+                     InvalidReadingError, NoEvaluableDataError,
+                     SuspiciousFitError)
 from .models import CalibrationModel
 
 DEFAULT_LOW_POWER_FLOOR_MW = 100.0
@@ -90,10 +92,12 @@ def evaluate(model: CalibrationModel, data: PairedDataset,
 
     err_i = |predicted_i - external_i| / external_i * 100 over pairs with
     external_mw >= low_power_floor_mw (boundary included); the floor must
-    be positive, so no included pair divides by zero. r_squared is
-    the squared Pearson correlation between predictions and external
-    values, which coincides with the OLS coefficient of determination
-    when the model was fitted on this very data.
+    be positive, so no included pair divides by zero. Errors whose mean is
+    not finite, as a subnormal external reading gives, raise
+    InvalidReadingError. r_squared is the squared Pearson correlation
+    between predictions and external values, which coincides with the OLS
+    coefficient of determination when the model was fitted on this very
+    data.
     """
     if not low_power_floor_mw > 0:
         raise ValueError(f"low-power floor must be positive, got {low_power_floor_mw}")
@@ -107,11 +111,22 @@ def evaluate(model: CalibrationModel, data: PairedDataset,
         )
     x = data.internal_mw[included]
     y = data.external_mw[included]
-    predicted = model.slope * x + model.intercept_mw
-    err_pct = np.abs(predicted - y) / y * 100.0
+    # A tiny (subnormal) external reading overflows an error, or huge
+    # errors overflow their sum; either is refused below.
+    with np.errstate(over="ignore"):
+        predicted = model.slope * x + model.intercept_mw
+        err_pct = np.abs(predicted - y) / y * 100.0
+        mean_err = float(err_pct.mean())
+    if not math.isfinite(mean_err):
+        worst = int(err_pct.argmax())
+        raise InvalidReadingError(
+            f"percentage error is not finite: the model predicts "
+            f"{float(predicted[worst])!r} mW at t={int(data.timestamps_us[included][worst])} us "
+            f"against an external {float(y[worst])!r} mW"
+        )
     max_err = float(err_pct.max())
     # exact math guarantees mean <= max; pin the float mean to it too
-    mae = min(float(err_pct.mean()), max_err)
+    mae = min(mean_err, max_err)
     return FitReport(
         model=model,
         mae_pct=mae,

@@ -8,7 +8,8 @@ profile rather than in code.
 A node path of the form `replay:<trace.csv>` swaps the filesystem reader
 for an in-memory replay of that trace, letting the whole pipeline run and
 be tested with no hardware attached. The sampler keeps no sample it
-delivers; `record` collects them in SampleBuffer, a columnar numpy ring.
+delivers; `record` collects them in SampleBuffer, a ring of two stdlib
+array columns that writes its own CSV, so recording loads no numpy.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from __future__ import annotations
 import bisect
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
-
-import numpy as np
 
 from .errors import (ERROR_RATE_LIMIT, ProfileError, SamplerFailedError,
                      SensorReadError)
@@ -34,6 +34,10 @@ REPLAY_PREFIX = "replay:"
 
 # ERROR_RATE_LIMIT is judged from this many read attempts on.
 _ERROR_RATE_MIN_ATTEMPTS = 20
+
+# Rows SampleBuffer.write_csv formats at a time: each distinct value of a
+# chunk is formatted once, and the chunk's text stays small.
+_WRITE_ROWS = 8192
 
 
 _EPOCH_OFFSET_NS = time.time_ns() - time.monotonic_ns()
@@ -101,7 +105,7 @@ class FileNodes:
         try:
             with open(path, "r") as fh:
                 content = fh.read().strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SensorReadError(f"cannot read sensor node {path}: {exc}") from exc
         try:
             return float(content)
@@ -186,30 +190,68 @@ def sample_once(profile: DeviceProfile, nodes) -> PowerSample:
 class SampleBuffer:
     """Bounded single-producer sink that drops the oldest sample on overflow.
 
-    A columnar ring: sample k goes to row k % maxlen of two preallocated
-    columns, int64 timestamps and float64 values.
+    A columnar ring: sample k goes to row k % maxlen of two stdlib array
+    columns, int64 timestamps ('q') and float64 values ('d'), which grow
+    to maxlen as samples arrive.
     """
 
     def __init__(self, maxlen: int = 1_000_000):
         self.maxlen = maxlen
         self.taken = 0
-        self._timestamps = np.empty(maxlen, dtype=np.int64)
-        self._values = np.empty(maxlen, dtype=np.float64)
+        self._timestamps = array("q")
+        self._values = array("d")
 
     @property
     def dropped(self) -> int:
         return max(self.taken - self.maxlen, 0)
 
+    def __len__(self) -> int:
+        """Samples kept."""
+        return len(self._values)
+
     def __call__(self, sample: PowerSample) -> None:
-        row = self.taken % self.maxlen
-        self._timestamps[row], self._values[row] = sample
+        t, v = sample
+        if self.taken < self.maxlen:
+            self._timestamps.append(t)
+            self._values.append(v)
+        else:
+            row = self.taken % self.maxlen
+            self._timestamps[row] = t
+            self._values[row] = v
         self.taken += 1
 
     def to_trace(self, device: str) -> PowerTrace:
-        """The kept samples, oldest first, as an internal mW trace."""
-        rows = np.arange(self.dropped, self.taken) % self.maxlen
+        """A copy of the kept samples, oldest first, as an internal mW trace."""
+        import numpy as np
+
+        head = self.dropped % self.maxlen
+        ts, values = self._timestamps, self._values
         return PowerTrace(device, "internal", "mW",
-                          self._timestamps[rows], self._values[rows])
+                          np.frombuffer(ts[head:] + ts[:head], dtype=np.int64),
+                          np.frombuffer(values[head:] + values[:head], dtype=np.float64))
+
+    def write_csv(self, path) -> None:
+        """Write the kept samples, oldest first, as an internal_csv file.
+
+        The bytes are those of ingest.write_trace on to_trace(): each row
+        is f"{t},{v!r}\\n", and each distinct value of a chunk of
+        _WRITE_ROWS rows is formatted once. Values are told apart by their
+        bits, so 0.0 and -0.0 keep their own repr.
+        """
+        head = self.dropped % self.maxlen
+        ts, values = self._timestamps, self._values
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("timestamp_us,power_mw\n")
+            for first, stop in ((head, len(values)), (0, head)):
+                for start in range(first, stop, _WRITE_ROWS):
+                    end = min(start + _WRITE_ROWS, stop)
+                    chunk = values[start:end]
+                    bits = array("q", chunk.tobytes()).tolist()
+                    cell = {b: f",{v!r}\n" for b, v in dict(zip(bits, chunk)).items()}
+                    parts = [""] * (2 * len(bits))   # t, ",v\n", t, ",v\n", ...
+                    parts[::2] = map(str, ts[start:end])
+                    parts[1::2] = map(cell.__getitem__, bits)
+                    fh.write("".join(parts))
 
 
 def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],

@@ -7,15 +7,18 @@ Values are float64 in the trace's unit (mW, mA or V).
 PowerTrace stores samples as two parallel read-only numpy arrays and is
 safe to share across threads. PowerSample is one reading, as the live
 sampler delivers it; it is not validated, because the sampler checks each
-read and PowerTrace checks the columns it is built from.
+read and PowerTrace checks the columns it is built from. numpy is
+imported only when a PowerTrace is built, so code that builds none, such
+as the live sampler, runs without loading it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 SOURCES = ("internal", "external", "calibrated")
 UNITS = ("mW", "mA", "V")
@@ -45,6 +48,8 @@ class PowerTrace:
     warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
+        import numpy as np
+
         ts = np.asarray(self.timestamps_us, dtype=np.int64)
         vals = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "timestamps_us", ts)

@@ -67,6 +67,12 @@ def oracle_sum_squared_residuals(x, y, slope, intercept):
     return fsum((yi - slope * xi - intercept) ** 2 for xi, yi in zip(x, y))
 
 
+# Values whose repr is easy to get wrong: signed zeros, the least
+# subnormal, and both sides of repr's switch to exponent form.
+TRICKY = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1.0000000000000002e16,
+          1e-5, 0.0001, 9.999999999999999e-05, 0.00010000000000000002, 1e22, 123.456, -7.5]
+
+
 def oracle_trace_csv(trace) -> bytes:
     """A mW or mA trace's CSV, formatted row by row with repr()."""
     column = {"mW": "power_mw", "mA": "current_ma"}[trace.unit]

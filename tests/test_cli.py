@@ -279,6 +279,21 @@ def test_negative_averaged_pair_exits_data(capsys, tmp_path, command, stream):
     assert_one_error_line(err, f"aligned {stream} power -5.0 mW at t=151000 us is negative")
 
 
+@pytest.mark.parametrize("command", ["calibrate", "validate"])
+def test_subnormal_external_reading_exits_data(capsys, tmp_path, command):
+    # Over a 1 ms window each average is one sample, so rows 151-159 stay
+    # at 5e-324 and pass a floor of 5e-324; their errors overflow.
+    external = 1300.0 + np.arange(400.0)
+    external[151:160] = 5e-324
+    files = [power_csv(tmp_path / "internal.csv", 1000.0 + np.arange(400.0)),
+             power_csv(tmp_path / "external.csv", external)]
+    rc, out, err = run(capsys, command, *files, "--device", "nano", "--window-us", 1000,
+                       "--floor-mw", "5e-324")
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, "percentage error is not finite: the model predicts ")
+    assert err.endswith(" mW at t=151000 us against an external 5e-324 mW\n")
+
+
 def test_energy_below_zero_exits_data(capsys, tmp_path):
     path = power_csv(tmp_path / "raw.csv", [100.0, -300.0, 50.0])
     rc, out, err = run(capsys, "energy", path)
@@ -404,6 +419,15 @@ def test_record_from_non_finite_node_exits_data(capsys, tmp_path, content):
     assert_one_error_line(err, "sampler aborted: 20/20 node reads failed")
 
 
+def test_record_from_undecodable_node_exits_data(capsys, tmp_path):
+    profile = file_node_profile(tmp_path, "")
+    (tmp_path / "node").write_bytes(b"\xff\xfe12")
+    rc, out, err = run(capsys, "record", "--profile", profile, "--duration", 0.05,
+                       "--out", tmp_path / "rec.csv")
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, "sampler aborted: 20/20 node reads failed")
+
+
 def test_record_tolerates_node_non_finite_on_one_read_in_ten(capsys, monkeypatch,
                                                             tmp_path):
     class OneInTenNan(sensor.FileNodes):
@@ -467,3 +491,14 @@ def test_energy_loads_only_what_it_runs(tmp_path):
     assert "jetcal.ingest" in loaded
     assert not {"jetcal.regression", "jetcal.signal", "jetcal.sensor",
                 "subprocess"} & loaded
+
+
+def test_record_loads_only_what_it_runs(tmp_path):
+    profile, out_csv = file_node_profile(tmp_path, "4321\n"), tmp_path / "rec.csv"
+    loaded = loaded_modules(
+        f"import jetcal.cli; assert jetcal.cli.main(['record', '--profile', "
+        f"{str(profile)!r}, '--duration', '0.05', '--out', {str(out_csv)!r}]) == 0")
+    assert "jetcal.sensor" in loaded
+    assert not {"numpy", "jetcal.ingest", "jetcal.models", "jetcal.regression",
+                "jetcal.signal", "subprocess"} & loaded
+    assert len(ingest.parse_trace(out_csv, "internal_csv")) > 0

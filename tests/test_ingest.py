@@ -13,7 +13,7 @@ from jetcal.errors import ParseError
 from jetcal.ingest import (parse_trace, parse_value_trace, power_from_channels,
                            write_trace)
 
-from conftest import make_trace, oracle_trace_csv
+from conftest import TRICKY, make_trace, oracle_trace_csv
 
 
 def channels(rows):
@@ -606,12 +606,6 @@ def test_voltage_trace_cannot_be_serialized():
     with pytest.raises(ValueError):
         write_trace(make_trace([0], [5.0], unit="V", source="external"),
                     "/dev/null")
-
-
-# Values whose repr is easy to get wrong: signed zeros, the least
-# subnormal, and both sides of repr's switch to exponent form.
-TRICKY = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1.0000000000000002e16,
-          1e-5, 0.0001, 9.999999999999999e-05, 0.00010000000000000002, 1e22, 123.456, -7.5]
 
 
 def written(trace, tmp_path, chunk_lines=None):

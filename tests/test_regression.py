@@ -166,6 +166,17 @@ def test_non_positive_floor_is_refused(floor):
     assert (report.n_samples, report.excluded_low_power) == (2, 1)
 
 
+@pytest.mark.parametrize("x, y", [
+    # a subnormal external reading overflows its pair's error
+    ([1000.0, 2000.0, 3000.0], [5e-324, 2000.0, 3000.0]),
+    # two finite errors of about 1e308 % overflow their sum
+    ([900_000.0, 900_000.0], [1e-300, 1e-300]),
+], ids=["subnormal-reading", "sum-of-errors"])
+def test_non_finite_percentage_error_is_invalid_reading(x, y):
+    with pytest.raises(InvalidReadingError, match="percentage error is not finite: "):
+        evaluate(NANO, dataset(x, y), low_power_floor_mw=min(y))
+
+
 def test_evaluate_reproduces_fit_metrics_exactly(rng):
     x = rng.uniform(200.0, 15000.0, 800)
     y = (1.11 * x + 232.6) * (1.0 + 0.02 * rng.standard_normal(len(x)))

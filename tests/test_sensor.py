@@ -1,8 +1,9 @@
 """The live sampler: buffer, clock, replay nodes, read-error rule, profiles.
 
-The buffer is checked against a `collections.deque(maxlen=...)`, the
-clock and the replay nodes against injected fake clocks, and the error
-rule against node stubs that fail on a chosen set of reads.
+The buffer is checked against a `collections.deque(maxlen=...)` and the
+CSV it writes against one repr per row, the clock and the replay nodes
+against injected fake clocks, and the error rule against node stubs that
+fail on a chosen set of reads.
 """
 
 import dataclasses
@@ -12,14 +13,14 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetcal import ingest, sensor
 from jetcal.errors import ProfileError, SamplerFailedError, SensorReadError
 from jetcal.traces import PowerSample, PowerTrace
 
-from conftest import make_trace
+from conftest import TRICKY, make_trace, oracle_trace_csv
 
 PROFILE = sensor.DeviceProfile(device="nano", mode="whole_board", node_paths=("stub",))
 
@@ -86,6 +87,34 @@ def test_trace_is_a_copy_of_the_ring():
     buffer(PowerSample(5, 5.0))
     assert before.timestamps_us.tolist() == [2, 3, 4]
     assert buffer.to_trace("nano").timestamps_us.tolist() == [3, 4, 5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(maxlen=st.integers(1, 12),
+       pool=st.lists(st.sampled_from(TRICKY) | st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=1, max_size=5),
+       picks=st.lists(st.integers(0, 4), max_size=40),
+       steps=st.lists(st.integers(1, 2**40), min_size=40, max_size=40),
+       t0=st.integers(0, 2**62),
+       chunk_rows=st.sampled_from([1, 2, 3, sensor._WRITE_ROWS]))
+@example(maxlen=5, pool=[0.0, -0.0, 5e-324], picks=[0, 1, 1, 0, 2, 1, 0],
+         steps=[1] * 40, t0=0, chunk_rows=sensor._WRITE_ROWS)
+def test_written_csv_is_one_repr_per_kept_row(tmp_path_factory, maxlen, pool, picks, steps,
+                                              t0, chunk_rows):
+    # Picks into a small pool repeat values both next to each other and
+    # apart; up to 40 samples into at most 12 rows wrap the ring.
+    values = [pool[i % len(pool)] for i in picks]
+    buffer = sensor.SampleBuffer(maxlen)
+    for sample in map(PowerSample, itertools.accumulate(steps, initial=t0), values):
+        buffer(sample)
+    d = tmp_path_factory.mktemp("record")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sensor, "_WRITE_ROWS", chunk_rows)
+        buffer.write_csv(d / "buffer.csv")
+    trace = buffer.to_trace("nano")
+    ingest.write_trace(trace, d / "trace.csv")
+    assert (d / "buffer.csv").read_bytes() == oracle_trace_csv(trace)
+    assert (d / "trace.csv").read_bytes() == oracle_trace_csv(trace)
 
 
 # ── clock ───────────────────────────────────────────────────────────────
