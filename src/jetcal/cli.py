@@ -241,7 +241,8 @@ def cmd_apply(args) -> int:
         mean_cal = float(calibrated.values.mean())
         result["mean_raw_mw"] = mean_raw
         result["mean_calibrated_mw"] = mean_cal
-        result["implied_gap_pct"] = (mean_cal - mean_raw) / mean_cal * 100.0
+        if mean_cal != 0.0:
+            result["implied_gap_pct"] = (mean_cal - mean_raw) / mean_cal * 100.0
     if calibrated.warnings:
         result["warnings"] = ",".join(calibrated.warnings)
     _emit(result, args.json)

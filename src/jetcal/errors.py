@@ -33,7 +33,8 @@ class ProfileError(ConfigError):
 
 class InvalidReadingError(DataError):
     """A power reading, an aligned pair or an energy integral is invalid (< 0),
-    or the percentage errors against a reference are not finite."""
+    or the fitted line or the percentage errors against a reference are not
+    finite."""
 
 
 class InsufficientDataError(DataError):

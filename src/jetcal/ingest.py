@@ -21,7 +21,13 @@ The body is parsed by np.loadtxt a chunk of lines at a time, and each
 chunk's columns are checked at once. From the first chunk this fast
 path cannot take, or whose columns break a rule, a row loop reads on:
 it parses what loadtxt cannot and words the ParseError, so both paths
-give the same columns, line numbers and messages.
+give the same columns, line numbers and messages. A chunk is held when
+the chunk before it seldom changed value, as in a recorded trace, and a
+held chunk is parsed at the cost of its distinct values: loadtxt reads
+its value cells as text, and each run of identical text is converted
+once with the row loop's float(). A file holding a NUL byte never takes
+the fast path, since the text cells drop trailing NULs, and a held chunk
+with a cell too wide for its text width is read again as floats.
 """
 
 from __future__ import annotations
@@ -54,6 +60,17 @@ _VALUE = {**_POWER, ("timestamp_us", "current_ma"): (None,)}
 # that a write holds a bounded text, many enough that the calls cost
 # nothing next to the parsing and formatting.
 _CHUNK_LINES = 8192
+
+# A chunk is held, and its value cells read as text (see _loadtxt_body),
+# when at most one value cell in _HELD_CELLS of the chunk before it
+# differs from the cell above. Measured on 2-vCPU x86, text breaks even
+# with loadtxt's floats at about 3 rows per change for 17-digit cells and
+# 12-16 for 6-character cells, and costs about twice as much on distinct
+# cells.
+# _CELL_BYTES, a multiple of 8, is the width of a held value cell; a
+# float's repr() takes at most 24 characters.
+_HELD_CELLS = 16
+_CELL_BYTES = 32
 
 
 def power_from_channels(timestamps_us, volts, clamp_a,
@@ -124,15 +141,16 @@ def _loadtxt_reads_as_rows(path) -> bool:
     A file is left to the row loop if a byte is not ASCII (loadtxt has
     crashed on some such characters, and int() reads digits of any
     script), if a byte is one of the separators 0x1c-0x1f (loadtxt strips
-    them as whitespace, int() and float() reject them), or if a line may
-    be longer than csv's field size limit, which loadtxt does not enforce.
-    Every line is shorter than that limit when each whole block of half
-    its size holds a newline.
+    them as whitespace, int() and float() reject them), if a byte is NUL
+    (a held chunk's text cells drop trailing NULs, float() rejects them),
+    or if a line may be longer than csv's field size limit, which loadtxt
+    does not enforce. Every line is shorter than that limit when each
+    whole block of half its size holds a newline.
     """
     block = csv.field_size_limit() // 2
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(16 * block), b""):
-            if not chunk.isascii() or any(sep in chunk for sep in b"\x1c\x1d\x1e\x1f") or \
+            if not chunk.isascii() or any(sep in chunk for sep in b"\x00\x1c\x1d\x1e\x1f") or \
                     any(chunk.find(b"\n", i, i + block) < 0
                         for i in range(0, len(chunk) - block + 1, block)):
                 return False
@@ -182,26 +200,72 @@ def _loadtxt_body(path, fh, header, signs, line):
     could not, such as a quoted cell, or words the ParseError. Each line
     of a chunk loadtxt took is one row, so the row loop's line numbers
     are right, and a rejected file is parsed once.
+
+    A chunk is held when the chunk before it changed a value cell at most
+    once in _HELD_CELLS cells, as a recorded trace re-reads one node value
+    for many polls. loadtxt then reads its value cells as _CELL_BYTES
+    bytes of text instead of floats, and _held_values converts each run of
+    identical text once with float(), the row loop's own conversion. A
+    held chunk with a cell that fills those bytes, which loadtxt may have
+    cut, is read again as floats.
     """
     k = len(header) - 1
-    dtype = [("t", np.int64), ("v", np.float64, (k,))]
-    parts, prev = [(np.empty(0, np.int64), np.empty((0, k)))], None
+    parts, prev, held = [(np.empty(0, np.int64), np.empty((0, k)))], None, False
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         for lines in iter(lambda: list(islice(fh, _CHUNK_LINES)), []):
             try:
-                # comments=None: the default "#" would take "2.5 # x", which float() rejects.
-                rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+                values = None
+                if held:
+                    rows = _loadtxt(lines, k, f"S{_CELL_BYTES}")
+                    values = _held_values(rows["v"])
+                if values is None:
+                    rows = _loadtxt(lines, k, np.float64)
+                    values = rows["v"]
             except ValueError:
                 rows = None
-            if rows is None or _first_bad_row(rows["t"], rows["v"], signs, prev) is not None:
+            if rows is None or _first_bad_row(rows["t"], values, signs, prev) is not None:
                 parts.append(_read_rows(path, chain(lines, fh), header, signs, line, prev))
                 break
-            parts.append((rows["t"], rows["v"]))
+            # A copy, so that a held chunk's wide rows are freed and their
+            # memory serves the next chunk.
+            parts.append((rows["t"].copy(), values))
             line += len(lines)
             prev = int(rows["t"][-1]) if len(rows) else prev
+            held = _HELD_CELLS * np.count_nonzero(values[1:] != values[:-1]) <= values.size
     ts, values = zip(*parts)
     return np.concatenate(ts), np.concatenate(values)
+
+
+def _loadtxt(lines, k, cell):
+    """A chunk's rows: an int64 timestamp "t" and k value cells "v" of dtype `cell`."""
+    # comments=None: the default "#" would take "2.5 # x", which float() rejects.
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                      dtype=[("t", np.int64), ("v", cell, (k,))])
+
+
+def _held_values(cells):
+    """(n, k) float64 values of (n, k) byte-string cells, one float() per run.
+
+    Returns None if a cell fills the width and so may have been cut;
+    float() raises ValueError on a cell it cannot read.
+    """
+    n, k = cells.shape
+    cells = np.ascontiguousarray(cells)
+    # Cells are compared with the cell above 8 bytes at a time.
+    words = cells.view(np.uint64).reshape(n, k, _CELL_BYTES // 8)
+    new = np.ones((n, k), bool)
+    new[1:] = words[1:, :, 0] != words[:-1, :, 0]
+    for i in range(1, _CELL_BYTES // 8):
+        new[1:] |= words[1:, :, i] != words[:-1, :, i]
+    values = np.empty((n, k))
+    for j in range(k):
+        starts = np.flatnonzero(new[:, j])
+        texts = cells[starts, j].tolist()
+        if any(len(text) == _CELL_BYTES for text in texts):
+            return None
+        values[:, j] = np.repeat([float(text) for text in texts], np.diff(starts, append=n))
+    return values
 
 
 def _read_rows(path, lines, header, signs, line, prev=None):

@@ -2,10 +2,13 @@
 
 The fit is the closed-form OLS minimizer computed with centered sums
 (means subtracted before products), which is numerically stable at mW
-magnitudes without a QR solve. Percentage metrics use the external (true)
-reading as denominator; pairs whose external power falls below a floor
-are excluded from percentage metrics to avoid near-zero division, and
-counted instead.
+magnitudes without a QR solve. Each column is first scaled by the power
+of two that brings its largest magnitude below 1: the scaling is exact,
+so every sum rounds as it would unscaled, but no sum of products can
+overflow, however large a finite reading. Percentage metrics use the
+external (true) reading as denominator; pairs whose external power falls
+below a floor are excluded from percentage metrics to avoid near-zero
+division, and counted instead.
 """
 
 from __future__ import annotations
@@ -58,22 +61,25 @@ def fit(data: PairedDataset,
     """Least-squares fit of external = slope * internal + intercept.
 
     The returned report embeds the metrics of evaluate() on the same data.
-    A non-positive fitted slope raises SuspiciousFitError (no sensor reads
-    lower when the board draws more); the raw coefficients ride on the
-    exception for inspection.
+    A fitted line too steep or too high for a float raises
+    InvalidReadingError. A non-positive fitted slope raises
+    SuspiciousFitError (no sensor reads lower when the board draws more);
+    the raw coefficients ride on the exception for inspection.
     """
     if len(data) < 2:
         raise InsufficientDataError(f"fit needs >= 2 pairs, got {len(data)}")
-    x = data.internal_mw
-    y = data.external_mw
-    x_mean = float(x.mean())
-    y_mean = float(y.mean())
-    dx = x - x_mean
+    x, ex = _scaled(data.internal_mw)
+    y, ey = _scaled(data.external_mw)
+    dx = x - x.mean()
     sxx = float(dx @ dx)
     if sxx == 0.0:
         raise DegenerateDataError("internal readings are all identical")
-    slope = float(dx @ (y - y_mean)) / sxx
-    intercept = y_mean - slope * x_mean
+    with np.errstate(over="ignore"):
+        slope = float(np.ldexp(float(dx @ (y - y.mean())) / sxx, ey - ex))
+    intercept = math.ldexp(float(y.mean()), ey) - slope * math.ldexp(float(x.mean()), ex)
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise InvalidReadingError(f"the fitted line is not finite: slope {slope!r}, "
+                                  f"intercept {intercept!r} mW")
     if slope <= 0:
         raise SuspiciousFitError(slope, intercept)
     model = CalibrationModel(data.device, slope, intercept, 0.0, "fitted")
@@ -137,9 +143,17 @@ def evaluate(model: CalibrationModel, data: PairedDataset,
     )
 
 
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """a * 2**-e and e, for the least e with every |a| < 2**e."""
+    e = math.frexp(float(np.abs(a).max()))[1]
+    return np.ldexp(a, -e), e
+
+
 def _squared_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    da = a - a.mean()
-    db = b - b.mean()
+    da = _scaled(a)[0]
+    da -= da.mean()
+    db = _scaled(b)[0]
+    db -= db.mean()
     denom = float(da @ da) * float(db @ db)
     if denom == 0.0:
         return 0.0

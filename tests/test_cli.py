@@ -294,6 +294,43 @@ def test_subnormal_external_reading_exits_data(capsys, tmp_path, command):
     assert err.endswith(" mW at t=151000 us against an external 5e-324 mW\n")
 
 
+@pytest.mark.parametrize("scale", [1e77, 1e200])
+@pytest.mark.parametrize("command", ["calibrate", "validate"])
+def test_huge_readings_fit_without_overflow(capsys, tmp_path, command, scale):
+    # Sums of squared deviations of these readings overflow a float.
+    internal = scale * (1.0 + np.arange(400.0) / 100.0)
+    files = [power_csv(tmp_path / "internal.csv", internal),
+             power_csv(tmp_path / "external.csv", 1.1 * internal)]
+    rc, out, err = run(capsys, command, *files, "--device", "nano", "--window-us", 1000,
+                       "--json")
+    report = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {out}"))
+    assert (rc, err) == ((cli.EXIT_OK, "") if command == "calibrate" else
+                         (cli.EXIT_GATE_FAIL, ""))
+    assert report["r_squared"] == pytest.approx(1.0)
+    if command == "calibrate":
+        assert report["slope"] == pytest.approx(1.1)
+
+
+def test_unbounded_fitted_slope_exits_data(capsys, tmp_path):
+    files = [power_csv(tmp_path / "internal.csv", 5e-324 * (1.0 + np.arange(400.0))),
+             power_csv(tmp_path / "external.csv", 1e300 * (1.0 + np.arange(400.0) / 100.0))]
+    rc, out, err = run(capsys, "calibrate", *files, "--device", "nano", "--window-us", 1000)
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, "the fitted line is not finite: slope inf, intercept -inf mW")
+
+
+def test_apply_to_a_zero_mean_omits_the_gap(capsys, tmp_path):
+    path = power_csv(tmp_path / "zero.csv", np.zeros(5))
+    model = tmp_path / "z.model"
+    model.write_text("device=nano slope=1.0 intercept_mw=0.0 error_pct=1.0 "
+                     "provenance=fitted\n")
+    rc, out = run_json(capsys, "apply", path, "--model", model, "--out", tmp_path / "cal.csv")
+    assert rc == cli.EXIT_OK
+    assert out == {"device": "nano", "n_samples": 5, "output": str(tmp_path / "cal.csv"),
+                   "mean_raw_mw": 0.0, "mean_calibrated_mw": 0.0}
+    assert (tmp_path / "cal.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
+
+
 def test_energy_below_zero_exits_data(capsys, tmp_path):
     path = power_csv(tmp_path / "raw.csv", [100.0, -300.0, 50.0])
     rc, out, err = run(capsys, "energy", path)

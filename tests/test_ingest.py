@@ -443,11 +443,17 @@ def _underscore(cell):
     return cell[0] + "_" + cell[1:] if cell[:2].isdigit() else cell
 
 
-# Spellings Python's int() and float() read but np.loadtxt may not, or the reverse.
+# Spellings Python's int() and float() read but np.loadtxt may not, or the
+# reverse; a held chunk's text cells drop a trailing NUL and cut a cell
+# longer than their width.
 SPELLINGS = [lambda c: f'"{c}"', _underscore, lambda c: f" {c} ", lambda c: f"+{c}",
-             lambda c: f"\x1c{c}", lambda c: f"{c}\t", lambda c: f"{c} # x"]
+             lambda c: f"\x1c{c}", lambda c: f"{c}\t", lambda c: f"{c} # x",
+             lambda c: f"{c}\x00", lambda c: "0" * ingest._CELL_BYTES + c]
 SPECIAL = {0: ["-0", "007", str(2**63 - 1), str(2**63), str(2**64 + 5), "1e3", "", "-1"],
            1: ["nan", "inf", "-inf", "1e400", "-0.0", "1e-400", ".5", "7."]}
+# Value cells the clean rows step through, so that runs of one value start
+# and end anywhere, chunk boundaries among them.
+LEVELS = ["1500.25", "0.0", "2.5", "1e3", "7"]
 
 
 @settings(max_examples=400, deadline=None)
@@ -458,6 +464,10 @@ def test_fast_path_matches_row_loop(tmp_path_factory, fmt, n, data):
     if fmt in SIGNED:
         kinds[SIGNED[fmt][0]] = SIGNED[fmt][1:]
     clean = [make_row(1000 * (i + 1)) for i in range(n)]
+    level = 0
+    for row, step in zip(clean, data.draw(st.lists(st.booleans(), min_size=n, max_size=n))):
+        level += step
+        row[1:] = [LEVELS[(level + j) % len(LEVELS)] for j in range(len(row) - 1)]
     rows = [list(row) for row in clean]
     row_index = st.integers(0, max(n - 1, 0))
     edits = st.tuples(row_index, st.integers(0, len(rows[0]) - 1 if rows else 0))
@@ -496,9 +506,10 @@ def test_fast_path_matches_row_loop(tmp_path_factory, fmt, n, data):
         assert fast == rows_only
     else:
         assert fast[0] == rows_only[0]
-        assert np.array_equal(fast[1], rows_only[1])
-        assert np.array_equal(fast[2], rows_only[2])
         assert (fast[1].dtype, fast[2].dtype) == (np.int64, np.float64)
+        assert np.array_equal(fast[1], rows_only[1])
+        # Bits, not values: 0.0 == -0.0.
+        assert np.array_equal(fast[2].view(np.int64), rows_only[2].view(np.int64))
 
 
 def _no_row_loop(*args):
@@ -518,6 +529,39 @@ def test_clean_files_take_the_fast_path(tmp_path, monkeypatch, fmt, n, newline):
     assert header == expected[0] == tuple(FORMATS[fmt][0].split(","))
     assert np.array_equal(t, expected[1]) and np.array_equal(values, expected[2])
     assert len(t) == len(FORMATS[fmt][1](path)) == n
+
+
+HELD = np.repeat([1000.5, 2000.25, 0.0, 1.5e4, 3.0], 50)   # 250 rows, runs of 50
+TEXT, FLOAT = np.dtype(f"S{ingest._CELL_BYTES}"), np.dtype(np.float64)
+
+
+@pytest.mark.parametrize("values, cells, dtypes", [
+    (HELD, {}, [FLOAT] + [TEXT] * 3),
+    (1000.5 + np.arange(250.0), {}, [FLOAT] * 4),
+    # A cell that fills the text width may have been cut: its chunk is read again.
+    (HELD, {150: "0" * ingest._CELL_BYTES + "15000.0"}, [FLOAT, TEXT, TEXT, FLOAT, TEXT]),
+    (HELD, {150: "15000.0\x00"}, []),
+], ids=["held", "distinct", "wide-cell", "nul"])
+def test_held_chunks_are_read_as_text(tmp_path, monkeypatch, values, cells, dtypes):
+    rows = [f"{t},{v!r}" for t, v in enumerate(values.tolist())]
+    for i, cell in cells.items():
+        rows[i] = f"{i},{cell}"
+    path = tmp_path / "held.csv"
+    path.write_text("\n".join(["timestamp_us,power_mw"] + rows) + "\n")
+    expected = read_columns(path, "internal", force_row_loop=True)
+    seen = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(ingest.np, "loadtxt", lambda lines, **kwargs: seen.append(
+        np.dtype(kwargs["dtype"])["v"].base) or loadtxt(lines, **kwargs))
+    got = read_columns(path, "internal", chunk_lines=64)
+    assert seen == dtypes
+    if cells.get(150, "").endswith("\x00"):
+        assert got == expected == (152, f"{path}:152: power_mw value '15000.0\\x00' "
+                                         "is not numeric")
+    else:
+        assert got[0] == expected[0] and np.array_equal(got[1], expected[1])
+        assert np.array_equal(got[2].view(np.int64), expected[2].view(np.int64))
+        assert got[2][:, 0].tolist() == values.tolist()
 
 
 def test_row_loop_takes_over_at_the_chunk_of_the_bad_line(tmp_path, monkeypatch):

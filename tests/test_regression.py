@@ -1,5 +1,7 @@
 """OLS fit and validation metrics against independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from jetcal.errors import (DegenerateDataError, InsufficientDataError,
                            InvalidReadingError, NoEvaluableDataError,
                            SuspiciousFitError)
 from jetcal.models import BUILTIN_MODELS, CalibrationModel, invert_model
-from jetcal.regression import PairedDataset, evaluate, fit
+from jetcal.regression import DEFAULT_LOW_POWER_FLOOR_MW, PairedDataset, evaluate, fit
 from jetcal.signal import align
 from jetcal.traces import PowerTrace
 
@@ -101,6 +103,21 @@ def test_scaling_external_scales_both_coefficients(alpha):
     assert scaled.model.intercept_mw == pytest.approx(
         alpha * base.model.intercept_mw, rel=1e-9)
     assert scaled.mae_pct == pytest.approx(base.mae_pct, rel=1e-9)
+
+
+@pytest.mark.parametrize("power", [-600, 600])
+def test_power_of_two_scaling_scales_the_fit_exactly(rng, power):
+    # Scaling by a power of two is exact, so it must scale the fit exactly,
+    # even where sums of squares of the scaled readings leave the float range.
+    x = rng.uniform(2000.0, 25000.0, 500)
+    y = (1.02 * x + 3115.39) * (1.0 + 0.01 * rng.standard_normal(len(x)))
+    base = fit(dataset(x, y))
+    scaled = fit(dataset(np.ldexp(x, power), np.ldexp(y, power)),
+                 low_power_floor_mw=math.ldexp(DEFAULT_LOW_POWER_FLOOR_MW, power))
+    assert scaled.model.slope == base.model.slope
+    assert scaled.model.intercept_mw == math.ldexp(base.model.intercept_mw, power)
+    assert (scaled.mae_pct, scaled.max_abs_err_pct, scaled.r_squared) == \
+        (base.mae_pct, base.max_abs_err_pct, base.r_squared)
 
 
 @given(beta=st.floats(10.0, 5000.0))
