@@ -1,21 +1,19 @@
 """Trace file parsing and writing.
 
-Three CSV schemas, all with a mandatory header row and integer
+Two CSV schemas, both with a mandatory header row and integer
 microsecond timestamps:
 
   internal_csv  timestamp_us,power_mw
   external_csv  timestamp_us,voltage_v,current_a   (clamp reading, raw)
                 timestamp_us,power_mw              (pre-computed power)
-  rails_csv     timestamp_us,<rail1>_mw,<rail2>_mw,...
 
-The external variant is auto-detected from the header. rails_csv yields
-the board total, each row's rails summed left to right as the sensor's
-sum_rails mode adds them live. Duplicate or out-of-order timestamps are
-rejected: they indicate a logging fault that averaging would silently
-mask. A file with several faults fails with a ParseError naming the first
-bad line in file order. Floats are written with repr(), which round-trips
-exactly; the writer formats each distinct value once per chunk of rows,
-because a recorded trace holds each node value for many polls.
+The external variant is auto-detected from the header. Duplicate or
+out-of-order timestamps are rejected: they indicate a logging fault that
+averaging would silently mask. A file with several faults fails with a
+ParseError naming the first bad line in file order. Floats are written
+with repr(), which round-trips exactly; the writer formats each distinct
+value once per chunk of rows, because a recorded trace holds each node
+value for many polls.
 
 The body is parsed by np.loadtxt a chunk of lines at a time, and each
 chunk's columns are checked at once. From the first chunk this fast
@@ -45,7 +43,6 @@ from .errors import ParseError
 from .traces import PowerTrace
 
 DEFAULT_COIL_TURNS = 10
-TRACE_FORMATS = ("internal_csv", "external_csv", "rails_csv")
 
 # A header table maps each accepted header to one entry per value column:
 # the wording of that column's error for a negative value, or None where
@@ -54,6 +51,7 @@ _POWER = {("timestamp_us", "power_mw"): (None,)}
 _EXTERNAL = {("timestamp_us", "voltage_v", "current_a"):
              ("DC supply voltage must be >= 0, got {}", None), **_POWER}
 _VALUE = {**_POWER, ("timestamp_us", "current_ma"): (None,)}
+TRACE_FORMATS = {"internal_csv": _POWER, "external_csv": _EXTERNAL}
 
 # Body lines handed to np.loadtxt at a time, and rows formatted per write:
 # few enough that a rejected file's row loop starts near its bad line and
@@ -157,15 +155,14 @@ def _loadtxt_reads_as_rows(path) -> bool:
     return True
 
 
-def _read_columns(path, schema_for, accepted):
+def _read_columns(path, table):
     """Header, int64 timestamps and an (n, k) float64 value matrix.
 
-    `schema_for(header)` returns the header's sign entries (see _POWER)
-    or None to reject it; `accepted` lists the headers for that error.
-    The header is read with csv. The body of a regular file whose bytes
-    np.loadtxt reads as the row loop does takes the fast path,
-    _loadtxt_body; any other body, a pipe's among them, goes to the row
-    loop, _read_rows, whole.
+    The header must be one of the header table's (see _POWER), which
+    gives the sign rules of its value columns. The header is read with
+    csv. The body of a regular file whose bytes np.loadtxt reads as the
+    row loop does takes the fast path, _loadtxt_body; any other body, a
+    pipe's among them, goes to the row loop, _read_rows, whole.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -180,9 +177,9 @@ def _read_columns(path, schema_for, accepted):
             if header is None:
                 raise ParseError(path, None, "file is empty, expected a header row")
             header = tuple(c.strip() for c in header)
-            signs = schema_for(header)
+            signs = table.get(header)
             if signs is None:
-                expected = " or ".join(",".join(h) for h in accepted)
+                expected = " or ".join(",".join(h) for h in table)
                 raise ParseError(path, 1, f"expected header {expected}, "
                                           f"got {','.join(header)}")
             read_body = _loadtxt_body if fast else _read_rows
@@ -313,30 +310,15 @@ def _read_rows(path, lines, header, signs, line, prev=None):
     return t, values
 
 
-def _rails_schema(header):
-    rails = header[1:]
-    if header[:1] != ("timestamp_us",) or not rails or len(set(rails)) != len(rails) or \
-            not all(c.endswith("_mw") and len(c) > 3 for c in rails):
-        return None
-    return tuple(f"rail {c[:-3]!r} value must be finite and >= 0" for c in rails)
-
-
 def parse_trace(path, fmt: str, device: str = "unknown",
                 coil_turns: int = DEFAULT_COIL_TURNS) -> PowerTrace:
     """Parse a trace file into memory, validating the full schema.
 
-    internal_csv gives an internal mW trace, external_csv an external mW
-    trace, and rails_csv the internal board total over all rails.
+    internal_csv gives an internal mW trace, external_csv an external one.
     """
     if fmt not in TRACE_FORMATS:
-        raise ValueError(f"format must be one of {TRACE_FORMATS}, got {fmt!r}")
-    if fmt == "rails_csv":
-        _, ts, values = _read_columns(path, _rails_schema,
-                                      [("timestamp_us", "<rail>_mw", "...")])
-        # Python's sum over the columns adds each row's rails left to right.
-        return PowerTrace(device, "internal", "mW", ts, sum(values.T))
-    table = _POWER if fmt == "internal_csv" else _EXTERNAL
-    _, ts, values = _read_columns(path, table.get, table)
+        raise ValueError(f"format must be one of {tuple(TRACE_FORMATS)}, got {fmt!r}")
+    _, ts, values = _read_columns(path, TRACE_FORMATS[fmt])
     if values.shape[1] == 2:
         return power_from_channels(ts, values[:, 0], values[:, 1], coil_turns, device)
     return PowerTrace(device, fmt.removesuffix("_csv"), "mW", ts, values[:, 0])
@@ -348,7 +330,7 @@ def parse_value_trace(path, device: str = "unknown") -> PowerTrace:
     Accepts timestamp_us,power_mw (a mW trace) or timestamp_us,current_ma
     (a mA trace, e.g. a boot-current capture).
     """
-    header, ts, values = _read_columns(path, _VALUE.get, _VALUE)
+    header, ts, values = _read_columns(path, _VALUE)
     source, unit = ("internal", "mW") if header in _POWER else ("external", "mA")
     return PowerTrace(device, source, unit, ts, values[:, 0])
 
@@ -362,9 +344,7 @@ def write_trace(trace: PowerTrace, path) -> None:
     recorded trace re-reads one node value for many rows. Values are told
     apart by their bits, so 0.0 and -0.0 keep their own repr.
     """
-    column = {"mW": "power_mw", "mA": "current_ma"}.get(trace.unit)
-    if column is None:
-        raise ValueError(f"cannot serialize a {trace.unit} trace")
+    column = "power_mw" if trace.unit == "mW" else "current_ma"
     ts, values = trace.timestamps_us, trace.values
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"timestamp_us,{column}\n")

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .errors import (ERROR_RATE_LIMIT, ProfileError, SamplerFailedError,
-                     SensorReadError)
+from .errors import (ERROR_RATE_LIMIT, InsufficientDataError, ProfileError,
+                     SamplerFailedError, SensorReadError)
 from .traces import PowerSample, PowerTrace, canonical_device_id
 
 MODES = ("whole_board", "sum_rails")
@@ -34,6 +34,10 @@ REPLAY_PREFIX = "replay:"
 
 # ERROR_RATE_LIMIT is judged from this many read attempts on.
 _ERROR_RATE_MIN_ATTEMPTS = 20
+
+# A throttled sampler waits for its next tick in sleeps of at most this
+# long, and asks should_stop after each.
+_WAIT_SLICE_NS = 10_000_000
 
 # Rows SampleBuffer.write_csv formats at a time: each distinct value of a
 # chunk is formatted once, and the chunk's text stays small.
@@ -76,8 +80,9 @@ class DeviceProfile:
             )
         if self.unit not in UNIT_SCALE:
             raise ProfileError(f"unit must be one of {tuple(UNIT_SCALE)}")
-        if not self.time_scale > 0:
-            raise ProfileError(f"time_scale must be positive, got {self.time_scale}")
+        if not (math.isfinite(self.time_scale) and self.time_scale > 0):
+            raise ProfileError(f"time_scale must be positive and finite, "
+                               f"got {self.time_scale}")
 
 
 @dataclass(frozen=True)
@@ -120,9 +125,9 @@ class ReplayNodes:
 
     Each node serves one trace as a step function of virtual time, which
     starts at the trace origin on the first read and advances with the
-    wall clock scaled by time_scale. Past the end of a trace the last
-    value holds. A deterministic clock (returning ns) can be injected for
-    tests.
+    wall clock scaled by time_scale, which DeviceProfile checks. Past the
+    end of a trace the last value holds. A deterministic clock (returning
+    ns) can be injected for tests.
     """
 
     def __init__(self, traces: list[PowerTrace], time_scale: float = 1.0,
@@ -130,9 +135,7 @@ class ReplayNodes:
         if not traces:
             raise ValueError("replay needs at least one trace")
         if any(len(t) == 0 for t in traces):
-            raise ValueError("replay traces must be non-empty")
-        if time_scale <= 0:
-            raise ValueError(f"time_scale must be positive, got {time_scale}")
+            raise InsufficientDataError("replay traces must be non-empty")
         self.traces = traces
         self.time_scale = time_scale
         self._clock = clock
@@ -143,7 +146,9 @@ class ReplayNodes:
         if self._t0_ns is None:
             self._t0_ns = self._clock()
         elapsed_us = (self._clock() - self._t0_ns) * self.time_scale / 1000.0
-        return self._timestamps[trace_index][0] + int(elapsed_us)
+        # Capped past every int64 timestamp, where the last value holds, so
+        # that a huge time_scale cannot make int() overflow.
+        return self._timestamps[trace_index][0] + int(min(elapsed_us, 2.0 ** 63))
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -262,18 +267,20 @@ def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
     """Sample in a tight loop until the stop condition fires.
 
     The loop does nothing but read, timestamp and deliver, so it runs at
-    the maximum rate the nodes allow unless max_rate_hz throttles it.
-    Clock ties are broken by bumping the timestamp one microsecond so the
-    sink always sees strictly increasing timestamps. Read errors are
-    counted and tolerated up to a 10% rate, then the run aborts. The rate
-    is judged at attempt 20, whether that read fails or not, and at every
-    failed read after it.
+    the maximum rate the nodes allow unless max_rate_hz throttles it. A
+    throttled loop waits for its next tick, but not past the deadline, and
+    asks should_stop while it waits. Clock ties are broken by bumping the
+    timestamp one microsecond so the sink always sees strictly increasing
+    timestamps. Read errors are counted and tolerated up to a 10% rate,
+    then the run aborts. The rate is judged at attempt 20, whether that
+    read fails or not, and at every failed read after it.
     """
     if duration_s is None and should_stop is None:
         raise ValueError("need a duration or a stop condition")
     if nodes is None:
         nodes = open_nodes(profile)
-    period_ns = int(1e9 / max_rate_hz) if max_rate_hz else 0
+    # A float, so that a tiny rate gives an infinite period, not an overflow.
+    period_ns = 1e9 / max_rate_hz if max_rate_hz else 0.0
 
     start_us = now_us()
     start_ns = time.monotonic_ns()
@@ -282,7 +289,6 @@ def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
     errors = 0
     attempts = 0
     last_ts = 0
-    next_tick_ns = start_ns
 
     while True:
         if should_stop is not None and should_stop():
@@ -307,10 +313,7 @@ def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
         sink(sample)
         taken += 1
         if period_ns:
-            next_tick_ns += period_ns
-            lag = next_tick_ns - time.monotonic_ns()
-            if lag > 0:
-                time.sleep(lag / 1e9)
+            _wait(start_ns + taken * period_ns, deadline_ns, should_stop)
 
     end_us = now_us()
     elapsed_s = max((end_us - start_us) / 1e6, 1e-9)
@@ -321,6 +324,17 @@ def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
         start_us=start_us,
         end_us=end_us,
     )
+
+
+def _wait(tick_ns: float, deadline_ns: int | None,
+          should_stop: Callable[[], bool] | None) -> None:
+    """Sleep until tick_ns, the deadline or should_stop, whichever comes first."""
+    if deadline_ns is not None:
+        tick_ns = min(tick_ns, deadline_ns)
+    while (lag_ns := tick_ns - time.monotonic_ns()) > 0:
+        if should_stop is not None and should_stop():
+            return
+        time.sleep(min(lag_ns, _WAIT_SLICE_NS) / 1e9)
 
 
 # Profile files are `key = value` lines; node_paths is comma-separated.

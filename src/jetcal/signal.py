@@ -49,6 +49,10 @@ def moving_average(trace: PowerTrace, window_us: int = DEFAULT_WINDOW_US) -> Pow
     if window_us <= 0:
         raise ValueError(f"window must be positive, got {window_us}")
     ts = trace.timestamps_us
+    if window_us > trace.span_us:
+        # Returned before ts[0] + window_us, which int64 may not hold.
+        return PowerTrace(trace.device, trace.source, trace.unit, ts[:0],
+                          trace.values[:0], trace.warnings)
     first = int(np.searchsorted(ts, ts[0] + window_us, side="left"))
     hi = np.arange(first + 1, len(ts) + 1)
     lo = np.searchsorted(ts, ts[first:] - window_us, side="right")

@@ -2,7 +2,7 @@
 
 Timestamps are integer microseconds since the epoch so that two streams
 recorded on a shared network clock can be aligned without float rounding.
-Values are float64 in the trace's unit (mW, mA or V).
+Values are float64 in the trace's unit (mW or mA).
 
 PowerTrace stores samples as two parallel read-only numpy arrays and is
 safe to share across threads. PowerSample is one reading, as the live
@@ -21,7 +21,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 SOURCES = ("internal", "external", "calibrated")
-UNITS = ("mW", "mA", "V")
+UNITS = ("mW", "mA")
 
 
 class PowerSample(NamedTuple):

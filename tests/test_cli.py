@@ -235,6 +235,23 @@ def test_non_numeric_profile_value_exits_config(capsys, tmp_path):
     assert_one_error_line(err, f"{profile}:4: time_scale 'fast'")
 
 
+def replay_profile(tmp_path, csv_path, time_scale=1.0):
+    profile = tmp_path / "replay.profile"
+    profile.write_text(f"device = nano\nmode = whole_board\n"
+                       f"node_paths = replay:{csv_path}\ntime_scale = {time_scale}\n")
+    return profile
+
+
+@pytest.mark.parametrize("time_scale", ["inf", "1e400", "-inf", "nan"])
+def test_non_finite_time_scale_exits_config(capsys, files, tmp_path, time_scale):
+    profile = replay_profile(tmp_path, files / "internal.csv", time_scale)
+    rc, out, err = run(capsys, "record", "--profile", profile, "--duration", 0.01,
+                       "--out", tmp_path / "r.csv")
+    assert (rc, out) == (cli.EXIT_CONFIG, "")
+    assert_one_error_line(err, f"time_scale must be positive and finite, "
+                               f"got {float(time_scale)}")
+
+
 def test_undecodable_profile_exits_config(capsys, tmp_path):
     profile = tmp_path / "bad.profile"
     profile.write_bytes(b"device = nano\nmode = whole_board\xb0\n")
@@ -245,6 +262,25 @@ def test_undecodable_profile_exits_config(capsys, tmp_path):
 
 
 # ── exit 3: bad data ────────────────────────────────────────────────────
+
+@pytest.mark.parametrize("window_us", [10**12, 2**63 - 1, 10**29])
+@pytest.mark.parametrize("command", ["calibrate", "validate"])
+def test_window_longer_than_the_capture_exits_data(capsys, files, command, window_us):
+    # No sample has a full window behind it, so both averaged traces are empty.
+    rc, out, err = run(capsys, command, files / "internal.csv", files / "external.csv",
+                       "--device", "nano", "--window-us", window_us)
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, "both traces must be non-empty")
+
+
+@pytest.mark.parametrize("command", ["calibrate", "validate"])
+def test_max_gap_beyond_int64_keeps_every_pair(capsys, files, command):
+    reports = [run_json(capsys, command, files / "internal.csv", files / "external.csv",
+                        "--device", "nano", "--max-gap-us", gap)[1]
+               for gap in (10**12, 10**29)]
+    assert reports[0] == reports[1]
+    assert reports[0]["n_samples"] > 0
+
 
 def test_malformed_row_exits_data(capsys, files, tmp_path):
     good = (files / "external.csv").read_text().splitlines(keepends=True)
@@ -396,6 +432,30 @@ def test_record_overflow_exits_data_after_writing_kept_rows(capsys, monkeypatch,
     assert np.all(recorded.values == 4321.0)
 
 
+def test_replay_of_a_header_only_csv_exits_data(capsys, tmp_path):
+    (tmp_path / "empty.csv").write_text("timestamp_us,power_mw\n")
+    out_csv = tmp_path / "rec.csv"
+    rc, out, err = run(capsys, "record", "--profile",
+                       replay_profile(tmp_path, tmp_path / "empty.csv"),
+                       "--duration", 0.01, "--out", out_csv)
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, "replay traces must be non-empty")
+    assert not out_csv.exists()
+
+
+def test_replay_at_a_huge_time_scale_holds_the_last_value(capsys, files, tmp_path):
+    # Every read after the first is past the end of the trace.
+    out_csv = tmp_path / "rec.csv"
+    rc, out = run_json(capsys, "record", "--profile",
+                       replay_profile(tmp_path, files / "internal.csv", 1e308),
+                       "--duration", 0.05, "--out", out_csv)
+    assert rc == cli.EXIT_OK
+    last = ingest.parse_trace(files / "internal.csv", "internal_csv").values[-1]
+    recorded = ingest.parse_trace(out_csv, "internal_csv")
+    assert len(recorded) == out["samples_taken"] > 1
+    assert np.all(recorded.values[1:] == last)
+
+
 def test_record_exec_reports_workload_exit_code(capsys, tmp_path):
     out_csv = tmp_path / "rec.csv"
     rc, out = run_json(capsys, "record", "--profile", file_node_profile(tmp_path, "4321\n"),
@@ -423,6 +483,18 @@ def test_record_max_rate_throttles_the_sampler(capsys, tmp_path):
     assert rc == cli.EXIT_OK
     assert 1 <= out["samples_taken"] <= 41
     assert len(ingest.parse_trace(tmp_path / "rec.csv", "internal_csv")) == out["samples_taken"]
+
+
+@pytest.mark.parametrize("rate", [0.5, 1e-300])
+@pytest.mark.parametrize("stop", [("--duration", 0.2), ("--exec", "sleep 0.2")],
+                         ids=["duration", "exec"])
+def test_record_throttle_never_waits_past_the_run(capsys, tmp_path, stop, rate):
+    # The tick after the first read is due 2 s on at 0.5 Hz, and never at
+    # 1e-300 Hz: the run must end at its stop condition all the same.
+    rc, out = run_json(capsys, "record", "--profile", file_node_profile(tmp_path, "4321\n"),
+                       "--max-rate-hz", rate, *stop, "--out", tmp_path / "rec.csv")
+    assert (rc, out["samples_taken"]) == (cli.EXIT_OK, 1)
+    assert out["end_us"] - out["start_us"] < 1_000_000
 
 
 def test_record_exec_reaps_workload_when_sampling_aborts(capsys, monkeypatch, tmp_path):

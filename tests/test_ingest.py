@@ -1,4 +1,4 @@
-"""CSV schemas, channel-to-power conversion, rail totals, parse errors."""
+"""CSV schemas, channel-to-power conversion, parse errors, writing."""
 
 import os
 import threading
@@ -74,75 +74,6 @@ def test_negative_supply_voltage_rejected(tmp_path):
     assert exc.value.line == 3
 
 
-# ── rails_csv: the board total ──────────────────────────────────────────
-
-def test_rail_sum_example(tmp_path):
-    path = write_csv(tmp_path / "r.csv", "timestamp_us,cpu_mw,gpu_mw,soc_mw",
-                     [(0, 1000.0, 2000.0, 500.0)])
-    trace = parse_trace(path, "rails_csv")
-    assert trace.values[0] == 3500.0
-    assert (trace.unit, trace.source) == ("mW", "internal")
-
-
-def test_single_rail_passthrough(tmp_path):
-    path = write_csv(tmp_path / "r.csv", "timestamp_us,vdd_in_mw",
-                     [(0, 1234.5), (1000, 2345.5)])
-    assert parse_trace(path, "rails_csv").values.tolist() == [1234.5, 2345.5]
-
-
-def random_rails_csv(path, rng, rails, n, t0=0):
-    rows = [(t0 + i * 1000, *map(repr, rng.uniform(0, 5000, len(rails)).tolist()))
-            for i in range(n)]
-    return write_csv(path, ",".join(["timestamp_us"] + [f"{r}_mw" for r in rails]), rows)
-
-
-def rows_of(path):
-    return [line.split(",") for line in path.read_text().splitlines()[1:]]
-
-
-def test_thousand_random_readings_match_bruteforce_sum(tmp_path, rng):
-    path = random_rails_csv(tmp_path / "r.csv", rng, ["cpu", "gpu", "soc", "ddr"], 1000)
-    trace = parse_trace(path, "rails_csv")
-    for row, t, total in zip(rows_of(path), trace.timestamps_us, trace.values):
-        assert t == int(row[0])
-        assert total == sum(float(cell) for cell in row[1:])
-
-
-def test_wide_rail_total_is_left_to_right_sum(tmp_path, rng):
-    # Past eight columns numpy's own sum switches to pairwise order.
-    path = random_rails_csv(tmp_path / "r.csv", rng, [f"r{i}" for i in range(12)], 300)
-    totals = parse_trace(path, "rails_csv").values.tolist()
-    assert totals == [sum(float(cell) for cell in row[1:]) for row in rows_of(path)]
-
-
-def test_inconsistent_rail_sets_rejected(tmp_path):
-    path = write_csv(tmp_path / "r.csv", "timestamp_us,cpu_mw,gpu_mw",
-                     [(0, 1.0, 2.0), (1000, 1.0)])
-    with pytest.raises(ParseError, match="expected 3 columns, got 2") as exc:
-        parse_trace(path, "rails_csv")
-    assert exc.value.line == 3
-    path = write_csv(tmp_path / "dup.csv", "timestamp_us,cpu_mw,cpu_mw", [(0, 1.0, 2.0)])
-    with pytest.raises(ParseError) as exc:
-        parse_trace(path, "rails_csv")
-    assert exc.value.line == 1
-
-
-def test_rail_sum_commutes_with_concatenation(tmp_path, rng):
-    first = random_rails_csv(tmp_path / "a.csv", rng, ["a", "b"], 20)
-    second = random_rails_csv(tmp_path / "b.csv", rng, ["a", "b"], 20, t0=20_000)
-    joined = tmp_path / "ab.csv"
-    joined.write_text(first.read_text() + "".join(second.read_text().splitlines(True)[1:]))
-    parts = np.concatenate([parse_trace(p, "rails_csv").values for p in (first, second)])
-    np.testing.assert_array_equal(parse_trace(joined, "rails_csv").values, parts)
-
-
-def test_empty_rail_reading_rejected(tmp_path):
-    path = write_csv(tmp_path / "r.csv", "timestamp_us", [(0,)])
-    with pytest.raises(ParseError) as exc:
-        parse_trace(path, "rails_csv")
-    assert exc.value.line == 1
-
-
 # ── parsing ─────────────────────────────────────────────────────────────
 
 def test_parse_internal_csv(tmp_path):
@@ -204,21 +135,6 @@ def test_external_precomputed_power_autodetected(tmp_path):
     assert trace.source == "external"
 
 
-def test_parse_rails_csv(tmp_path):
-    path = tmp_path / "rails.csv"
-    path.write_text("timestamp_us,cpu_mw,gpu_mw\n0,100.0,200.0\n1000,150.0,250.0\n")
-    trace = parse_trace(path, "rails_csv")
-    assert trace.timestamps_us.tolist() == [0, 1000]
-    assert trace.values.tolist() == [300.0, 400.0]
-
-
-def test_rails_header_must_declare_mw_columns(tmp_path):
-    path = tmp_path / "rails.csv"
-    path.write_text("timestamp_us,cpu\n0,100.0\n")
-    with pytest.raises(ParseError):
-        parse_trace(path, "rails_csv")
-
-
 def test_missing_file_is_parse_error(tmp_path):
     with pytest.raises(ParseError):
         parse_trace(tmp_path / "nope.csv", "internal_csv")
@@ -233,13 +149,14 @@ def test_empty_file_is_parse_error(tmp_path):
 
 
 def test_unknown_format_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        parse_trace(tmp_path / "x.csv", "binary_blob")
+    for fmt in ("binary_blob", "rails_csv"):
+        with pytest.raises(ValueError, match="format must be one of"):
+            parse_trace(tmp_path / "x.csv", fmt)
 
 
 def test_negative_values_allowed_where_no_sign_rule(tmp_path):
-    # Only supply voltage and rail readings must be >= 0; a raw internal
-    # reading below zero is for the command that uses it to judge.
+    # Only the supply voltage must be >= 0; a raw internal reading below
+    # zero is for the command that uses it to judge.
     path = write_csv(tmp_path / "t.csv", "timestamp_us,power_mw", [(0, -1.5), (10, 2.0)])
     assert parse_trace(path, "internal_csv").values.tolist() == [-1.5, 2.0]
 
@@ -257,9 +174,6 @@ FORMATS = {
     "external-mw": ("timestamp_us,power_mw",
                     lambda p: parse_trace(p, "external_csv"),
                     lambda t: [str(t), "4999.5"]),
-    "rails": ("timestamp_us,cpu_mw,gpu_mw",
-              lambda p: parse_trace(p, "rails_csv"),
-              lambda t: [str(t), "100.0", "200.5"]),
     "current": ("timestamp_us,current_ma",
                 parse_value_trace,
                 lambda t: [str(t), "200.0"]),
@@ -288,8 +202,7 @@ KINDS = {
     "nan": (_set(-1, "nan"), "not finite"),
     "inf": (_set(-1, "-inf"), "not finite"),
 }
-SIGNED = {"external": ("negative-voltage", _set(1, "-0.5"), "DC supply voltage must be >= 0"),
-          "rails": ("negative-rail", _set(2, "-3.0"), "must be finite and >= 0")}
+SIGNED = {"external": ("negative-voltage", _set(1, "-0.5"), "DC supply voltage must be >= 0")}
 
 CASES = [(fmt, kind, *KINDS[kind]) for fmt in FORMATS for kind in KINDS] + \
         [(fmt, kind, corrupt, word) for fmt, (kind, corrupt, word) in SIGNED.items()]
@@ -412,13 +325,12 @@ def test_timestamp_beyond_int64_is_parse_error(tmp_path):
 
 # ── the loadtxt fast path against the row loop ──────────────────────────
 
-# format -> (schema_for, accepted) as parse_trace and parse_value_trace pass them
+# format -> the header table parse_trace or parse_value_trace reads it with
 READERS = {
-    "internal": (ingest._POWER.get, ingest._POWER),
-    "external": (ingest._EXTERNAL.get, ingest._EXTERNAL),
-    "external-mw": (ingest._EXTERNAL.get, ingest._EXTERNAL),
-    "rails": (ingest._rails_schema, [("timestamp_us", "<rail>_mw", "...")]),
-    "current": (ingest._VALUE.get, ingest._VALUE),
+    "internal": ingest.TRACE_FORMATS["internal_csv"],
+    "external": ingest.TRACE_FORMATS["external_csv"],
+    "external-mw": ingest.TRACE_FORMATS["external_csv"],
+    "current": ingest._VALUE,
 }
 
 
@@ -434,7 +346,7 @@ def read_columns(path, fmt, force_row_loop=False, chunk_lines=None):
         if chunk_lines:
             mp.setattr(ingest, "_CHUNK_LINES", chunk_lines)
         try:
-            return ingest._read_columns(path, *READERS[fmt])
+            return ingest._read_columns(path, READERS[fmt])
         except ParseError as exc:
             return exc.line, str(exc)
 
@@ -633,23 +545,10 @@ def test_value_trace_accepts_power_header(tmp_path):
     assert parse_value_trace(path).unit == "mW"
 
 
-def test_rails_round_trip_is_fixed_point(tmp_path, rng):
-    rails = random_rails_csv(tmp_path / "r.csv", rng, ["cpu", "gpu"], 50)
-    total = parse_trace(rails, "rails_csv")
-    first = tmp_path / "t1.csv"
-    second = tmp_path / "t2.csv"
-    write_trace(total, first)
-    parsed = parse_trace(first, "internal_csv")
-    write_trace(parsed, second)
-    assert first.read_bytes() == second.read_bytes()
-    np.testing.assert_array_equal(parsed.values, total.values)
-    np.testing.assert_array_equal(parsed.timestamps_us, total.timestamps_us)
-
-
-def test_voltage_trace_cannot_be_serialized():
-    with pytest.raises(ValueError):
-        write_trace(make_trace([0], [5.0], unit="V", source="external"),
-                    "/dev/null")
+def test_voltage_trace_is_refused_when_built():
+    # So every trace write_trace sees is mW or mA.
+    with pytest.raises(ValueError, match=r"unit must be one of \('mW', 'mA'\), got 'V'"):
+        make_trace([0], [5.0], unit="V", source="external")
 
 
 def written(trace, tmp_path, chunk_lines=None):
