@@ -8,11 +8,11 @@ JSON object per line carrying exactly the values of the human output.
 
 Building the parser loads no numpy and no pipeline module: each command
 imports what it runs when it starts, so `energy` and `apply` load
-`ingest` and `models`, `peak` loads `ingest` and `signal`, `calibrate`
-and `validate` load those three and `regression`, and `record` loads
-`sensor` only, which writes its CSV without numpy (a `replay:` profile
-also loads `ingest` to parse what it replays). Only `record --exec`
-loads `subprocess`.
+`ingest` and `models`, `peak` loads `ingest` and `signal` only (and not
+`numpy.ma`), `calibrate` and `validate` load those three and
+`regression`, and `record` loads `sensor` only, which writes its CSV
+without numpy (a `replay:` profile also loads `ingest` to parse what it
+replays). Only `record --exec` loads `subprocess`.
 """
 
 from __future__ import annotations
@@ -231,13 +231,17 @@ def cmd_apply(args) -> int:
     raw = ingest.parse_trace(args.input_csv, "internal_csv", model.device)
     calibrated = models.apply_trace(model, raw, on_invalid=args.on_invalid)
     ingest.write_trace(calibrated, args.out)
+    n_skipped = len(raw) - len(calibrated)
     result = {
         "device": model.device,
         "n_samples": len(calibrated),
+        "n_skipped": n_skipped,
         "output": str(args.out),
     }
     if len(calibrated):
-        mean_raw = float(raw.values.mean())
+        # Both means over the rows kept: those apply_trace did not skip.
+        kept = raw.values[raw.values >= 0] if n_skipped else raw.values
+        mean_raw = float(kept.mean())
         mean_cal = float(calibrated.values.mean())
         result["mean_raw_mw"] = mean_raw
         result["mean_calibrated_mw"] = mean_cal
@@ -357,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model file to apply")
     p.add_argument("--on-invalid", choices=("abort", "skip"), default="abort",
                    dest="on_invalid",
-                   help="what to do with negative/non-finite samples")
+                   help="what to do with negative samples; skipped ones are "
+                        "counted in n_skipped (default: abort)")
     p.add_argument("--out", required=True, help="output calibrated CSV path")
     p.set_defaults(func=cmd_apply)
 

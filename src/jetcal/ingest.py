@@ -11,9 +11,9 @@ The external variant is auto-detected from the header. Duplicate or
 out-of-order timestamps are rejected: they indicate a logging fault that
 averaging would silently mask. A file with several faults fails with a
 ParseError naming the first bad line in file order. Floats are written
-with repr(), which round-trips exactly; the writer formats each distinct
-value once per chunk of rows, because a recorded trace holds each node
-value for many polls.
+with repr(), which round-trips exactly; the writer formats each run of
+equal values once per chunk of rows, because a recorded trace holds each
+node value for many polls.
 
 The body is parsed by np.loadtxt a chunk of lines at a time, and each
 chunk's columns are checked at once. From the first chunk this fast
@@ -338,21 +338,21 @@ def parse_value_trace(path, device: str = "unknown") -> PowerTrace:
 def write_trace(trace: PowerTrace, path) -> None:
     """Write a mW trace as internal_csv or a mA trace as a current CSV.
 
-    Each row is f"{t},{v!r}\\n": every value is written as its repr, as
-    one row at a time would write it. The rows go out _CHUNK_LINES at a
-    time, and each distinct value of a chunk is formatted once, because a
-    recorded trace re-reads one node value for many rows. Values are told
-    apart by their bits, so 0.0 and -0.0 keep their own repr.
+    Each row is f"{t},{v!r}\\n", as one row at a time would write it. The
+    rows go out _CHUNK_LINES at a time, and each run of equal values is
+    formatted once, as a "%d" format of its rows, because a recorded trace
+    re-reads one node value for many rows. Values are told apart by their
+    bits, so 0.0 and -0.0 keep their own repr.
     """
     column = "power_mw" if trace.unit == "mW" else "current_ma"
     ts, values = trace.timestamps_us, trace.values
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"timestamp_us,{column}\n")
         for start in range(0, len(ts), _CHUNK_LINES):
-            end = start + _CHUNK_LINES
-            bits, row_cell = np.unique(values[start:end].view(np.int64), return_inverse=True)
-            cells = np.array([f",{v!r}\n" for v in bits.view(np.float64).tolist()], dtype=object)
-            parts = [""] * (2 * len(row_cell))   # t, ",v\n", t, ",v\n", ...
-            parts[::2] = map(str, ts[start:end].tolist())
-            parts[1::2] = cells[row_cell].tolist()
-            fh.write("".join(parts))
+            chunk = values[start:start + _CHUNK_LINES]
+            bits = chunk.view(np.int64)
+            starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+            runs = zip(chunk[starts].tolist(), np.diff(starts, append=len(chunk)).tolist())
+            # A float's repr() holds no "%", so a cell needs no escaping.
+            rows = "".join([f"%d,{v!r}\n" * n for v, n in runs])
+            fh.write(rows % tuple(ts[start:start + _CHUNK_LINES].tolist()))

@@ -19,6 +19,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -39,8 +40,8 @@ _ERROR_RATE_MIN_ATTEMPTS = 20
 # long, and asks should_stop after each.
 _WAIT_SLICE_NS = 10_000_000
 
-# Rows SampleBuffer.write_csv formats at a time: each distinct value of a
-# chunk is formatted once, and the chunk's text stays small.
+# Rows SampleBuffer.write_csv formats at a time: each run of equal values
+# in a chunk is formatted once, and the chunk's text stays small.
 _WRITE_ROWS = 8192
 
 
@@ -238,10 +239,9 @@ class SampleBuffer:
     def write_csv(self, path) -> None:
         """Write the kept samples, oldest first, as an internal_csv file.
 
-        The bytes are those of ingest.write_trace on to_trace(): each row
-        is f"{t},{v!r}\\n", and each distinct value of a chunk of
-        _WRITE_ROWS rows is formatted once. Values are told apart by their
-        bits, so 0.0 and -0.0 keep their own repr.
+        The bytes are those of ingest.write_trace on to_trace(), and so is
+        the formatting: each run of equal value bits in a chunk of
+        _WRITE_ROWS rows is formatted once, as a "%d" format of its rows.
         """
         head = self.dropped % self.maxlen
         ts, values = self._timestamps, self._values
@@ -250,13 +250,12 @@ class SampleBuffer:
             for first, stop in ((head, len(values)), (0, head)):
                 for start in range(first, stop, _WRITE_ROWS):
                     end = min(start + _WRITE_ROWS, stop)
-                    chunk = values[start:end]
-                    bits = array("q", chunk.tobytes()).tolist()
-                    cell = {b: f",{v!r}\n" for b, v in dict(zip(bits, chunk)).items()}
-                    parts = [""] * (2 * len(bits))   # t, ",v\n", t, ",v\n", ...
-                    parts[::2] = map(str, ts[start:end])
-                    parts[1::2] = map(cell.__getitem__, bits)
-                    fh.write("".join(parts))
+                    chunk, rows, i = values[start:end], [], 0
+                    for _, run in groupby(array("q", chunk.tobytes())):
+                        n = len(list(run))
+                        rows.append(f"%d,{chunk[i]!r}\n" * n)
+                        i += n
+                    fh.write("".join(rows) % tuple(ts[start:end]))
 
 
 def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
@@ -279,12 +278,12 @@ def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
         raise ValueError("need a duration or a stop condition")
     if nodes is None:
         nodes = open_nodes(profile)
-    # A float, so that a tiny rate gives an infinite period, not an overflow.
+    # Floats, so that a tiny rate or a huge duration cannot overflow.
     period_ns = 1e9 / max_rate_hz if max_rate_hz else 0.0
 
     start_us = now_us()
     start_ns = time.monotonic_ns()
-    deadline_ns = start_ns + int(duration_s * 1e9) if duration_s is not None else None
+    deadline_ns = start_ns + duration_s * 1e9 if duration_s is not None else None
     taken = 0
     errors = 0
     attempts = 0
@@ -326,7 +325,7 @@ def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
     )
 
 
-def _wait(tick_ns: float, deadline_ns: int | None,
+def _wait(tick_ns: float, deadline_ns: float | None,
           should_stop: Callable[[], bool] | None) -> None:
     """Sleep until tick_ns, the deadline or should_stop, whichever comes first."""
     if deadline_ns is not None:

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (BaselineUndefinedError, EmptyOverlapError,
                      InsufficientDataError, InvalidReadingError, UnitError)
-from .regression import PairedDataset
 from .traces import PowerTrace
+
+if TYPE_CHECKING:
+    from .regression import PairedDataset
 
 DEFAULT_WINDOW_US = 100_000
 DEFAULT_MAX_GAP_US = 10_000
@@ -83,6 +86,9 @@ def align(internal: PowerTrace, external: PowerTrace,
     A kept pair with a negative value raises InvalidReadingError, naming
     the first such pair's stream, value and timestamp.
     """
+    # Loaded here, so that `peak` loads neither regression nor models.
+    from .regression import PairedDataset
+
     if len(internal) == 0 or len(external) == 0:
         raise EmptyOverlapError("both traces must be non-empty")
     if internal.unit != "mW" or external.unit != "mW":
@@ -163,7 +169,15 @@ def detect_peak(trace: PowerTrace, threshold: float) -> PeakReport:
     return PeakReport(
         peak_value=float(vals[peak_idx]),
         peak_timestamp_us=int(ts[peak_idx]),
-        baseline=float(np.median(vals[below])),
+        baseline=_median(vals[below]),
         duration_above_threshold_us=duration,
         threshold=float(threshold),
     )
+
+
+def _median(values: np.ndarray) -> float:
+    """float(np.median(values)) of finite values, by np.median's own
+    partition and mean, without the numpy.ma import of its NaN check."""
+    mid = len(values) // 2
+    kth = [mid - 1, mid, -1] if len(values) % 2 == 0 else [mid, -1]
+    return float(np.partition(values, kth)[kth[0]:mid + 1].mean())

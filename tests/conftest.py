@@ -8,6 +8,7 @@ trapezoid loop, a written trace via one f-string per row.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import fsum
 
@@ -79,3 +80,31 @@ def oracle_trace_csv(trace) -> bytes:
     rows = "".join(f"{t},{v!r}\n" for t, v in
                    zip(trace.timestamps_us.tolist(), trace.values.tolist()))
     return f"timestamp_us,{column}\n{rows}".encode()
+
+
+@contextmanager
+def recording_writes(module):
+    """A list of the text of each write to a file that `module` opens."""
+    writes = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+        fh.write = lambda text: writes.append(text) or write(text)
+        return fh
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "open", recording_open, raising=False)
+        yield writes
+
+
+def chunk_edge_rows(chunk):
+    """Timestamps and values whose runs meet the edges of `chunk`-row chunks.
+
+    A row at t=0, then one run over the rest of three chunks at 16-digit
+    timestamps, then two runs, the first on the fourth chunk's first row.
+    """
+    t0 = 1_700_000_000_000_000
+    ts = [0, *range(t0, t0 + 13 * (3 * chunk + 4), 13)]
+    values = [-0.0] + [1234.5678] * (3 * chunk - 1) + [0.0] * 3 + [9999999999999998.0] * 2
+    return ts, values

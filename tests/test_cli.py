@@ -126,9 +126,9 @@ def test_apply_then_energy(capsys, files, tmp_path):
     rc, out = run_json(capsys, "apply", files / "internal.csv", "--device", "nano",
                        "--out", calibrated)
     assert rc == cli.EXIT_OK
-    assert set(out) == APPLY_KEYS
+    assert set(out) == APPLY_KEYS | {"n_skipped"}
     raw = ingest.parse_trace(files / "internal.csv", "internal_csv")
-    assert out["n_samples"] == len(raw)
+    assert (out["n_samples"], out["n_skipped"]) == (len(raw), 0)
     cal = ingest.parse_trace(calibrated, "internal_csv")
     np.testing.assert_array_equal(cal.values, NANO.slope * raw.values + NANO.intercept_mw)
     assert calibrated.read_bytes() == oracle_trace_csv(cal)
@@ -362,9 +362,24 @@ def test_apply_to_a_zero_mean_omits_the_gap(capsys, tmp_path):
                      "provenance=fitted\n")
     rc, out = run_json(capsys, "apply", path, "--model", model, "--out", tmp_path / "cal.csv")
     assert rc == cli.EXIT_OK
-    assert out == {"device": "nano", "n_samples": 5, "output": str(tmp_path / "cal.csv"),
+    assert out == {"device": "nano", "n_samples": 5, "n_skipped": 0,
+                   "output": str(tmp_path / "cal.csv"),
                    "mean_raw_mw": 0.0, "mean_calibrated_mw": 0.0}
     assert (tmp_path / "cal.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
+
+
+def test_apply_skip_counts_the_skipped_rows_and_means_the_kept_ones(capsys, tmp_path):
+    path = power_csv(tmp_path / "raw.csv", [5.0, -3.0, 7.0])
+    rc, out = run_json(capsys, "apply", path, "--device", "nano", "--on-invalid", "skip",
+                       "--out", tmp_path / "cal.csv")
+    calibrated = [NANO.slope * v + NANO.intercept_mw for v in (5.0, 7.0)]
+    mean_cal = (calibrated[0] + calibrated[1]) / 2
+    assert (rc, out["n_samples"], out["n_skipped"]) == (cli.EXIT_OK, 2, 1)
+    assert out["mean_raw_mw"] == 6.0
+    assert out["mean_calibrated_mw"] == pytest.approx(mean_cal, rel=1e-15)
+    assert out["implied_gap_pct"] == pytest.approx((mean_cal - 6.0) / mean_cal * 100.0)
+    cal = ingest.parse_trace(tmp_path / "cal.csv", "internal_csv")
+    assert cal.timestamps_us.tolist() == [0, 2000]
 
 
 def test_energy_below_zero_exits_data(capsys, tmp_path):
@@ -528,6 +543,15 @@ def test_record_from_non_finite_node_exits_data(capsys, tmp_path, content):
     assert_one_error_line(err, "sampler aborted: 20/20 node reads failed")
 
 
+def test_record_for_a_huge_duration_runs_until_it_aborts(capsys, tmp_path):
+    # A deadline of 1e300 s is past any clock; the failing reads end the run.
+    profile = file_node_profile(tmp_path, "abc\n")
+    rc, out, err = run(capsys, "record", "--profile", profile, "--duration", 1e300,
+                       "--out", tmp_path / "rec.csv")
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, "sampler aborted: 20/20 node reads failed")
+
+
 def test_record_from_undecodable_node_exits_data(capsys, tmp_path):
     profile = file_node_profile(tmp_path, "")
     (tmp_path / "node").write_bytes(b"\xff\xfe12")
@@ -599,6 +623,15 @@ def test_energy_loads_only_what_it_runs(tmp_path):
         f"import jetcal.cli; assert jetcal.cli.main(['energy', {str(path)!r}]) == 0")
     assert "jetcal.ingest" in loaded
     assert not {"jetcal.regression", "jetcal.signal", "jetcal.sensor",
+                "subprocess"} & loaded
+
+
+def test_peak_loads_only_what_it_runs(files):
+    loaded = loaded_modules(
+        f"import jetcal.cli; assert jetcal.cli.main(['peak', {str(files / 'boot.csv')!r}, "
+        f"'--threshold', '800']) == 0")
+    assert {"jetcal.ingest", "jetcal.signal"} <= loaded
+    assert not {"numpy.ma", "jetcal.regression", "jetcal.models", "jetcal.sensor",
                 "subprocess"} & loaded
 
 

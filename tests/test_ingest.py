@@ -13,7 +13,7 @@ from jetcal.errors import ParseError
 from jetcal.ingest import (parse_trace, parse_value_trace, power_from_channels,
                            write_trace)
 
-from conftest import TRICKY, make_trace, oracle_trace_csv
+from conftest import TRICKY, chunk_edge_rows, make_trace, oracle_trace_csv, recording_writes
 
 
 def channels(rows):
@@ -553,17 +553,8 @@ def test_voltage_trace_is_refused_when_built():
 
 def written(trace, tmp_path, chunk_lines=None):
     """(file bytes, the text of each write) of write_trace(trace)."""
-    writes = []
-
-    def recording_open(*args, **kwargs):
-        fh = open(*args, **kwargs)
-        write = fh.write
-        fh.write = lambda text: writes.append(text) or write(text)
-        return fh
-
     path = tmp_path / "w.csv"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "open", recording_open, raising=False)
+    with recording_writes(ingest) as writes, pytest.MonkeyPatch.context() as mp:
         if chunk_lines:
             mp.setattr(ingest, "_CHUNK_LINES", chunk_lines)
         write_trace(trace, path)
@@ -602,6 +593,13 @@ def test_empty_trace_writes_only_the_header(tmp_path, unit, header):
     data, writes = written(make_trace([], [], unit=unit), tmp_path)
     assert data == f"timestamp_us,{header}\n".encode()
     assert len(writes) == 1
+
+
+def test_runs_across_chunk_edges_write_one_chunk_at_a_time(tmp_path):
+    trace = make_trace(*chunk_edge_rows(ingest._CHUNK_LINES))
+    data, writes = written(trace, tmp_path)
+    assert data == oracle_trace_csv(trace)
+    assert [text.count("\n") for text in writes] == [1] + [ingest._CHUNK_LINES] * 3 + [5]
 
 
 def test_held_values_write_in_chunks(tmp_path, rng):

@@ -20,7 +20,7 @@ from jetcal import ingest, sensor
 from jetcal.errors import ProfileError, SamplerFailedError, SensorReadError
 from jetcal.traces import PowerSample, PowerTrace
 
-from conftest import TRICKY, make_trace, oracle_trace_csv
+from conftest import TRICKY, chunk_edge_rows, make_trace, oracle_trace_csv, recording_writes
 
 PROFILE = sensor.DeviceProfile(device="nano", mode="whole_board", node_paths=("stub",))
 
@@ -115,6 +115,20 @@ def test_written_csv_is_one_repr_per_kept_row(tmp_path_factory, maxlen, pool, pi
     ingest.write_trace(trace, d / "trace.csv")
     assert (d / "buffer.csv").read_bytes() == oracle_trace_csv(trace)
     assert (d / "trace.csv").read_bytes() == oracle_trace_csv(trace)
+
+
+def test_runs_across_chunk_edges_of_a_wrapped_ring_write_one_chunk_at_a_time(tmp_path):
+    # Five dropped samples put the ring's head at row 5, so its first
+    # segment ends on a chunk edge and the second starts the fourth chunk.
+    ts, values = chunk_edge_rows(sensor._WRITE_ROWS)
+    buffer = sensor.SampleBuffer(len(ts))
+    for sample in itertools.chain(map(PowerSample, range(-5, 0), [1.0] * 5),
+                                  map(PowerSample, ts, values)):
+        buffer(sample)
+    with recording_writes(sensor) as writes:
+        buffer.write_csv(tmp_path / "rec.csv")
+    assert (tmp_path / "rec.csv").read_bytes() == oracle_trace_csv(make_trace(ts, values))
+    assert [text.count("\n") for text in writes] == [1] + [sensor._WRITE_ROWS] * 3 + [5]
 
 
 # ── clock ───────────────────────────────────────────────────────────────

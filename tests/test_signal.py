@@ -1,17 +1,18 @@
 """Moving-average filter, stream alignment, peak detection."""
 
+import sys
 from math import fsum
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetcal.errors import (BaselineUndefinedError, EmptyOverlapError,
                            InsufficientDataError, InvalidReadingError, UnitError)
 from jetcal.signal import align, detect_peak, moving_average
 
-from conftest import make_trace, oracle_window_mean
+from conftest import TRICKY, make_trace, oracle_window_mean
 
 
 # ── moving average ──────────────────────────────────────────────────────
@@ -284,6 +285,25 @@ def test_two_spikes_reports_larger_and_sums_durations(rng):
     assert report.duration_above_threshold_us == expected == 500
     assert report.baseline == pytest.approx(
         float(np.median(vals[vals < threshold])))
+
+
+FLOAT_MAX = sys.float_info.max
+BELOW_MAX = float(np.nextafter(FLOAT_MAX, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vals=st.lists(st.sampled_from(TRICKY + [BELOW_MAX, -FLOAT_MAX])
+                     | st.floats(-FLOAT_MAX, BELOW_MAX), min_size=1, max_size=12))
+@example(vals=[0.0, -0.0, -0.0])
+@example(vals=[-0.0, 0.0, 0.0, -0.0])
+@example(vals=[BELOW_MAX, BELOW_MAX])
+def test_baseline_is_the_median_of_the_samples_below(vals):
+    # Every value is below the largest float, so every value is baseline.
+    vals = np.array(vals)
+    with np.errstate(over="ignore"):
+        baseline = detect_peak(make_trace(range(len(vals)), vals, unit="mA"), FLOAT_MAX).baseline
+        expected = float(np.median(vals))
+    assert repr(baseline) == repr(expected)
 
 
 def test_all_samples_above_threshold_raises():
