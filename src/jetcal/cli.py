@@ -2,9 +2,12 @@
 
 Subcommands: record, calibrate, apply, validate, energy, peak.
 
-Exit codes: 0 success or gate pass, 1 validation gate fail, 2 usage or
-configuration error, 3 data error. With --json each command prints one
-JSON object per line carrying exactly the values of the human output.
+Each command returns its result as a dict and prints nothing; `main`
+prints it, as `key = value` lines or, with --json, as one JSON object
+carrying exactly the same values, and picks the exit code: 0 success,
+1 only when the result says `gate: fail`, 2 usage or configuration
+error, 3 data error. A result number that is not finite is a data error
+(exit 3), so every --json line is strict JSON.
 
 Building the parser loads no numpy and no pipeline module: each command
 imports what it runs when it starts, so `energy` and `apply` load
@@ -23,7 +26,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InvalidReadingError
 
 EXIT_OK = 0
 EXIT_GATE_FAIL = 1
@@ -52,6 +55,9 @@ _finite_float = _number(float, math.isfinite, "a finite number")
 
 
 def _emit(result: dict, as_json: bool) -> None:
+    for key, value in result.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidReadingError(f"{key} is not finite: {value!r}")
     if as_json:
         print(json.dumps(result, sort_keys=True))
     else:
@@ -97,19 +103,11 @@ def _resolve_model(device: str | None, model_file: str | None):
 
 
 def _report_dict(report) -> dict:
-    m = report.model
-    return {
-        "device": m.device,
-        "slope": m.slope,
-        "intercept_mw": m.intercept_mw,
-        "stated_error_pct": m.stated_error_pct,
-        "provenance": m.provenance,
-        "mae_pct": report.mae_pct,
-        "max_abs_err_pct": report.max_abs_err_pct,
-        "r_squared": report.r_squared,
-        "n_samples": report.n_samples,
-        "excluded_low_power": report.excluded_low_power,
-    }
+    """A FitReport's model fields, then its own, in dataclass field order."""
+    from dataclasses import asdict
+
+    result = asdict(report)
+    return {**result.pop("model"), **result}
 
 
 def _paired_pipeline(args):
@@ -128,13 +126,13 @@ def _paired_pipeline(args):
     return sig.align(internal, external, args.max_gap_us)
 
 
-def cmd_record(args) -> int:
+def cmd_record(args) -> dict:
     from . import sensor
 
     profile = sensor.load_profile(sensor.resolve_profile(args.profile))
     _require_writable(args.out)
     buffer = sensor.SampleBuffer()
-    workload_exit = None
+    child = None
     if args.exec_cmd is not None:
         import shlex
         import subprocess
@@ -147,21 +145,16 @@ def cmd_record(args) -> int:
             child = subprocess.Popen(argv)
         except OSError as exc:
             raise ConfigError(f"cannot spawn workload: {exc}") from exc
-        try:
-            stats = sensor.run_sampler(
-                profile, buffer,
-                should_stop=lambda: child.poll() is not None,
-                max_rate_hz=args.max_rate_hz,
-            )
-        except BaseException:
-            # Whatever ends sampling early ends the workload it measures.
+    try:
+        stats = sensor.run_sampler(
+            profile, buffer, duration_s=args.duration, max_rate_hz=args.max_rate_hz,
+            should_stop=None if child is None else lambda: child.poll() is not None)
+    except BaseException:
+        # Whatever ends sampling early ends the workload it measures.
+        if child is not None:
             child.terminate()
             child.wait()
-            raise
-        workload_exit = child.wait()
-    else:
-        stats = sensor.run_sampler(profile, buffer, duration_s=args.duration,
-                                   max_rate_hz=args.max_rate_hz)
+        raise
     if len(buffer) == 0:
         raise DataError("sampler produced no samples")
     buffer.write_csv(args.out)
@@ -180,13 +173,12 @@ def cmd_record(args) -> int:
         "end_us": stats.end_us,
         "output": str(args.out),
     }
-    if workload_exit is not None:
-        result["workload_exit_code"] = workload_exit
-    _emit(result, args.json)
-    return EXIT_OK
+    if child is not None:
+        result["workload_exit_code"] = child.wait()
+    return result
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> dict:
     from . import models, regression
 
     _require_writable(args.out_model)
@@ -204,25 +196,24 @@ def cmd_calibrate(args) -> int:
     result = _report_dict(report)
     if args.out_model is not None:
         result["model_file"] = str(args.out_model)
-    _emit(result, args.json)
-    return EXIT_OK
+    return result
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> dict:
     from . import regression
 
     model = _resolve_model(args.device, args.model_file)
     pairs = _paired_pipeline(args)
     report = regression.evaluate(model, pairs, args.floor_mw)
-    gate_pass = report.mae_pct <= model.stated_error_pct
     result = _report_dict(report)
     result["gate_threshold_pct"] = model.stated_error_pct
-    result["gate"] = "pass" if gate_pass else "fail"
-    _emit(result, args.json)
-    return EXIT_OK if gate_pass else EXIT_GATE_FAIL
+    result["gate"] = "pass" if report.mae_pct <= model.stated_error_pct else "fail"
+    return result
 
 
-def cmd_apply(args) -> int:
+def cmd_apply(args) -> dict:
+    import numpy as np
+
     from . import ingest, models
 
     _require_inputs(args.input_csv)
@@ -241,56 +232,43 @@ def cmd_apply(args) -> int:
     if len(calibrated):
         # Both means over the rows kept: those apply_trace did not skip.
         kept = raw.values[raw.values >= 0] if n_skipped else raw.values
-        mean_raw = float(kept.mean())
-        mean_cal = float(calibrated.values.mean())
+        # A sum past the float range makes a mean inf, which _emit refuses.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_raw = float(kept.mean())
+            mean_cal = float(calibrated.values.mean())
         result["mean_raw_mw"] = mean_raw
         result["mean_calibrated_mw"] = mean_cal
         if mean_cal != 0.0:
             result["implied_gap_pct"] = (mean_cal - mean_raw) / mean_cal * 100.0
     if calibrated.warnings:
         result["warnings"] = ",".join(calibrated.warnings)
-    _emit(result, args.json)
-    return EXIT_OK
+    return result
 
 
-def cmd_energy(args) -> int:
+def cmd_energy(args) -> dict:
+    from dataclasses import asdict
+
     from . import ingest, models
 
     _require_inputs(args.input_csv)
     trace = ingest.parse_trace(args.input_csv, "internal_csv", args.device or "unknown")
-    calibrated_with = None
+    calibrated_with = "none"
     if args.device is not None or args.model_file is not None:
         model = _resolve_model(args.device, args.model_file)
         trace = models.apply_trace(model, trace)
         calibrated_with = model.device
-    report = models.integrate_energy(trace)
-    result = {
-        "energy_mj": report.energy_mj,
-        "duration_us": report.duration_us,
-        "mean_power_mw": report.mean_power_mw,
-        "calibrated_with": calibrated_with or "none",
-    }
-    _emit(result, args.json)
-    return EXIT_OK
+    return {**asdict(models.integrate_energy(trace)), "calibrated_with": calibrated_with}
 
 
-def cmd_peak(args) -> int:
+def cmd_peak(args) -> dict:
+    from dataclasses import asdict
+
     from . import ingest
     from . import signal as sig
 
     _require_inputs(args.input_csv)
     trace = ingest.parse_value_trace(args.input_csv)
-    report = sig.detect_peak(trace, args.threshold)
-    result = {
-        "peak_value": report.peak_value,
-        "peak_timestamp_us": report.peak_timestamp_us,
-        "baseline": report.baseline,
-        "duration_above_threshold_us": report.duration_above_threshold_us,
-        "threshold": report.threshold,
-        "unit": trace.unit,
-    }
-    _emit(result, args.json)
-    return EXIT_OK
+    return {**asdict(sig.detect_peak(trace, args.threshold)), "unit": trace.unit}
 
 
 def _add_pipeline_flags(sub) -> None:
@@ -323,6 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print one machine-readable JSON line")
         return p
 
+    def model_flags(p, use):
+        p.add_argument("--device", default=None, help=f"registry model to {use}")
+        p.add_argument("--model", dest="model_file", default=None,
+                       help=f"model file to {use}")
+
     p = sub("record", "sample the internal sensor into a CSV")
     p.add_argument("--profile", required=True,
                    help="device profile path or name (searched via "
@@ -348,17 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("validate", "check a model against reference data")
     p.add_argument("internal_csv")
     p.add_argument("external_csv")
-    p.add_argument("--device", default=None, help="registry model to validate")
-    p.add_argument("--model", dest="model_file", default=None,
-                   help="model file to validate")
+    model_flags(p, "validate")
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub("apply", "calibrate a recorded internal trace")
     p.add_argument("input_csv")
-    p.add_argument("--device", default=None, help="registry model to apply")
-    p.add_argument("--model", dest="model_file", default=None,
-                   help="model file to apply")
+    model_flags(p, "apply")
     p.add_argument("--on-invalid", choices=("abort", "skip"), default="abort",
                    dest="on_invalid",
                    help="what to do with negative samples; skipped ones are "
@@ -368,10 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("energy", "integrate energy over a power trace")
     p.add_argument("input_csv")
-    p.add_argument("--device", default=None,
-                   help="calibrate with this registry model first")
-    p.add_argument("--model", dest="model_file", default=None,
-                   help="calibrate with this model file first")
+    model_flags(p, "calibrate with first")
     p.set_defaults(func=cmd_energy)
 
     p = sub("peak", "characterize the largest excursion of a trace")
@@ -387,16 +363,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        result = args.func(args)
+        _emit(result, args.json)
+    except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_DATA if isinstance(exc, DataError) else EXIT_CONFIG
+    return EXIT_GATE_FAIL if result.get("gate") == "fail" else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -33,8 +33,9 @@ class ProfileError(ConfigError):
 
 class InvalidReadingError(DataError):
     """A power reading, an aligned pair or an energy integral is invalid (< 0),
-    or the fitted line or the percentage errors against a reference are not
-    finite."""
+    or a figure computed from finite readings is not finite: a calibrated
+    reading, a window mean, the fitted line, a percentage error against a
+    reference or a number the CLI would print."""
 
 
 class InsufficientDataError(DataError):

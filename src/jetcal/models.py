@@ -105,7 +105,8 @@ def apply_trace(model: CalibrationModel, trace: PowerTrace,
     Negative samples are invalid and abort by default; with
     on_invalid="skip" they are dropped instead. If the model maps any
     sample below zero the output carries a warning flag rather than being
-    clipped.
+    clipped; if it maps one past the float range, InvalidReadingError
+    names the first.
     """
     if on_invalid not in ("abort", "skip"):
         raise ValueError(f"on_invalid must be 'abort' or 'skip', got {on_invalid!r}")
@@ -120,7 +121,13 @@ def apply_trace(model: CalibrationModel, trace: PowerTrace,
             )
         ts = ts[~bad]
         raw = raw[~bad]
-    calibrated = model.slope * raw + model.intercept_mw
+    with np.errstate(over="ignore"):
+        calibrated = model.slope * raw + model.intercept_mw
+    infinite = ~np.isfinite(calibrated)
+    if infinite.any():
+        i = int(np.argmax(infinite))
+        raise InvalidReadingError(f"calibrated reading is not finite: {float(raw[i])!r} "
+                                  f"mW at t={int(ts[i])} us maps to {float(calibrated[i])!r}")
     warnings = trace.warnings
     if len(calibrated) and calibrated.min() < 0:
         if NEGATIVE_CALIBRATED_WARNING not in warnings:
@@ -133,13 +140,15 @@ def integrate_energy(trace: PowerTrace) -> EnergyReport:
 
     mW times us is nJ, hence the 1e6 reconciliation to mJ. Requires at
     least two samples, and raises InvalidReadingError when the integral
-    is below zero.
+    is below zero. An integral past the float range comes back inf (or
+    nan), without a warning; the caller decides what to do with it.
     """
     if len(trace) < 2:
         raise InsufficientDataError(
             f"energy integration needs >= 2 samples, got {len(trace)}"
         )
-    energy_mj = float(np.trapezoid(trace.values, trace.timestamps_us)) / 1e6
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy_mj = float(np.trapezoid(trace.values, trace.timestamps_us)) / 1e6
     if energy_mj < 0:
         raise InvalidReadingError(f"energy over the trace is negative: {energy_mj!r} mJ")
     duration_us = trace.span_us

@@ -14,7 +14,7 @@ division, and counted instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,11 +85,7 @@ def fit(data: PairedDataset,
     model = CalibrationModel(data.device, slope, intercept, 0.0, "fitted")
     report = evaluate(model, data, low_power_floor_mw)
     # a fitted model's stated bound is its own mean error on training data
-    model = CalibrationModel(data.device, slope, intercept,
-                             report.mae_pct, "fitted")
-    return FitReport(model, report.mae_pct, report.max_abs_err_pct,
-                     report.r_squared, report.n_samples,
-                     report.excluded_low_power)
+    return replace(report, model=replace(model, stated_error_pct=report.mae_pct))
 
 
 def evaluate(model: CalibrationModel, data: PairedDataset,

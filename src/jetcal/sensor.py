@@ -18,7 +18,7 @@ import bisect
 import math
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable
@@ -337,7 +337,7 @@ def _wait(tick_ns: float, deadline_ns: float | None,
 
 
 # Profile files are `key = value` lines; node_paths is comma-separated.
-_PROFILE_KEYS = ("device", "mode", "node_paths", "unit", "time_scale")
+_PROFILE_KEYS = tuple(f.name for f in fields(DeviceProfile))
 
 
 def load_profile(path) -> DeviceProfile:
@@ -351,7 +351,7 @@ def load_profile(path) -> DeviceProfile:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ProfileError(f"{path}:{line}: not UTF-8 text: "
                            f"cannot decode byte 0x{data[exc.start]:02x}") from None
-    fields: dict[str, object] = {}
+    found: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -360,19 +360,19 @@ def load_profile(path) -> DeviceProfile:
         if not sep or key not in _PROFILE_KEYS:
             raise ProfileError(f"{path}:{lineno}: unexpected line {raw!r}")
         if key == "node_paths":
-            fields[key] = tuple(p.strip() for p in value.split(",") if p.strip())
+            found[key] = tuple(p.strip() for p in value.split(",") if p.strip())
         elif key == "time_scale":
             try:
-                fields[key] = float(value)
+                found[key] = float(value)
             except ValueError:
                 raise ProfileError(f"{path}:{lineno}: {key} {value!r} is not "
                                    f"a valid float") from None
         else:
-            fields[key] = value
+            found[key] = value
     for required in ("device", "mode", "node_paths"):
-        if required not in fields:
+        if required not in found:
             raise ProfileError(f"{path}: profile missing {required!r}")
-    return DeviceProfile(**fields)  # type: ignore[arg-type]
+    return DeviceProfile(**found)  # type: ignore[arg-type]
 
 
 def resolve_profile(name_or_path: str, search_env: str = PROFILE_PATH_ENV) -> Path:

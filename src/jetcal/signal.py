@@ -45,6 +45,8 @@ def moving_average(trace: PowerTrace, window_us: int = DEFAULT_WINDOW_US) -> Pow
     to the length of the trace. The remaining error is second order in
     machine epsilon; the means are checked against a correctly rounded
     per-window mean to 1e-12 relative on traces of up to 2e6 samples.
+    Sums past the float range raise InvalidReadingError, naming the
+    first timestamp whose mean is not finite.
     """
     if len(trace) == 0:
         raise InsufficientDataError("cannot filter an empty trace")
@@ -60,18 +62,21 @@ def moving_average(trace: PowerTrace, window_us: int = DEFAULT_WINDOW_US) -> Pow
     hi = np.arange(first + 1, len(ts) + 1)
     lo = np.searchsorted(ts, ts[first:] - window_us, side="right")
 
-    # cumsum adds in order, so prefix[:-1] + values re-forms each of its steps.
-    prefix = np.concatenate(([0.0], np.cumsum(trace.values)))
-    _, step_err = _two_sum(prefix[:-1], trace.values)
-    carried = np.concatenate(([0.0], np.cumsum(step_err)))
-    # TwoSum on the difference too: without it a window sum can land one
-    # ulp away from the correctly rounded sum.
-    diff, diff_err = _two_sum(prefix[hi], -prefix[lo])
-    sums = diff + (diff_err + (carried[hi] - carried[lo]))
-    return PowerTrace(
-        trace.device, trace.source, trace.unit,
-        ts[first:], sums / (hi - lo), trace.warnings,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        # cumsum adds in order, so prefix[:-1] + values re-forms each of its steps.
+        prefix = np.concatenate(([0.0], np.cumsum(trace.values)))
+        _, step_err = _two_sum(prefix[:-1], trace.values)
+        carried = np.concatenate(([0.0], np.cumsum(step_err)))
+        # TwoSum on the difference too: without it a window sum can land one
+        # ulp away from the correctly rounded sum.
+        diff, diff_err = _two_sum(prefix[hi], -prefix[lo])
+        means = (diff + (diff_err + (carried[hi] - carried[lo]))) / (hi - lo)
+    bad = ~np.isfinite(means)
+    if bad.any():
+        raise InvalidReadingError(f"moving average is not finite at "
+                                  f"t={int(ts[first + int(np.argmax(bad))])} us")
+    return PowerTrace(trace.device, trace.source, trace.unit,
+                      ts[first:], means, trace.warnings)
 
 
 def align(internal: PowerTrace, external: PowerTrace,
@@ -177,7 +182,15 @@ def detect_peak(trace: PowerTrace, threshold: float) -> PeakReport:
 
 def _median(values: np.ndarray) -> float:
     """float(np.median(values)) of finite values, by np.median's own
-    partition and mean, without the numpy.ma import of its NaN check."""
+    partition and mean, without the numpy.ma import of its NaN check.
+
+    Where the two middle values sum past the float range, their halves
+    are summed instead: halving is exact at that magnitude, so the mean
+    is still correctly rounded.
+    """
     mid = len(values) // 2
     kth = [mid - 1, mid, -1] if len(values) % 2 == 0 else [mid, -1]
-    return float(np.partition(values, kth)[kth[0]:mid + 1].mean())
+    middle = np.partition(values, kth)[kth[0]:mid + 1]
+    with np.errstate(over="ignore"):
+        median = float(middle.mean())
+    return median if math.isfinite(median) else float(middle[0] / 2 + middle[-1] / 2)

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jetcal import cli, ingest, regression, sensor, synth
 from jetcal import signal as sig
@@ -68,10 +70,17 @@ def run(capsys, *argv):
     return rc, out, err
 
 
+def strict_json(line):
+    """json.loads that refuses NaN and Infinity, which JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{constant} in {line!r}")
+    return json.loads(line, parse_constant=refuse)
+
+
 def run_json(capsys, *argv):
     rc, out, err = run(capsys, *argv, "--json")
     assert len(out.splitlines()) == 1, out
-    return rc, json.loads(out)
+    return rc, strict_json(out)
 
 
 def assert_one_error_line(err, prefix):
@@ -339,7 +348,7 @@ def test_huge_readings_fit_without_overflow(capsys, tmp_path, command, scale):
              power_csv(tmp_path / "external.csv", 1.1 * internal)]
     rc, out, err = run(capsys, command, *files, "--device", "nano", "--window-us", 1000,
                        "--json")
-    report = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {out}"))
+    report = strict_json(out)
     assert (rc, err) == ((cli.EXIT_OK, "") if command == "calibrate" else
                          (cli.EXIT_GATE_FAIL, ""))
     assert report["r_squared"] == pytest.approx(1.0)
@@ -397,6 +406,90 @@ def test_energy_calibrated_below_zero_exits_data(capsys, tmp_path):
     rc, out, err = run(capsys, "energy", path, "--model", model)
     assert (rc, out) == (cli.EXIT_DATA, "")
     assert_one_error_line(err, "energy over the trace is negative: ")
+
+
+# ── numbers past the float range ────────────────────────────────────────
+
+def rows_csv(path, rows, column="power_mw"):
+    path.write_text(f"timestamp_us,{column}\n" + "".join(f"{t},{v!r}\n" for t, v in rows))
+    return path
+
+
+@pytest.mark.parametrize("argv, rows, message", [
+    (("energy",), [(0, 1e308), (1_000_000, 1e308)], "energy_mj is not finite: inf"),
+    (("apply", "--device", "nano"), [(0, 1.0e308), (1, 1.5e308)],
+     "mean_raw_mw is not finite: inf"),
+    (("apply", "--device", "nano"), [(0, 1.7e308), (1, 1.6e308)],
+     "calibrated reading is not finite: 1.7e+308 mW at t=0 us maps to inf"),
+    (("energy", "--device", "nano"), [(0, 5.0), (1, 1.7e308)],
+     "calibrated reading is not finite: 1.7e+308 mW at t=1 us maps to inf"),
+], ids=["energy", "apply-mean", "apply-calibrated", "energy-calibrated"])
+def test_a_number_past_the_float_range_exits_data(capsys, tmp_path, argv, rows, message):
+    command, *flags = argv
+    out_csv = ("--out", tmp_path / "cal.csv") if command == "apply" else ()
+    rc, out, err = run(capsys, command, rows_csv(tmp_path / "big.csv", rows), *flags,
+                       *out_csv, "--json")
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, message)
+
+
+@pytest.mark.parametrize("command", ["calibrate", "validate"])
+def test_window_sums_past_the_float_range_exit_data(capsys, tmp_path, command):
+    internal = power_csv(tmp_path / "internal.csv", np.where(np.arange(400) % 2, 1.5e308, 1e308))
+    external = power_csv(tmp_path / "external.csv", 1000.0 + np.arange(400.0))
+    rc, out, err = run(capsys, command, internal, external, "--device", "nano")
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, "moving average is not finite at t=100000 us")
+
+
+def test_peak_baseline_of_two_huge_values_is_their_mean(capsys, tmp_path):
+    path = rows_csv(tmp_path / "boot.csv", [(0, 1e308), (1, 1.5e308), (2, 1.79e308)],
+                    "current_ma")
+    rc, out = run_json(capsys, "peak", path, "--threshold", 1.7e308)
+    assert (rc, out["baseline"]) == (cli.EXIT_OK, 1.25e308)
+
+
+# ± subnormals, normal values, and values near ±1e308.
+EDGE_VALUES = (st.floats(-sys.float_info.min, sys.float_info.min, exclude_min=True,
+                         exclude_max=True)
+               | st.floats(-1e6, 1e6)
+               | st.floats(1e307, sys.float_info.max)
+               | st.floats(-sys.float_info.max, -1e307))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(EDGE_VALUES, min_size=2, max_size=6), threshold=EDGE_VALUES)
+def test_every_run_prints_strict_json_or_one_error_line(capsys, tmp_path, values, threshold):
+    path = rows_csv(tmp_path / "edge.csv", [(1000 * i, v) for i, v in enumerate(values)])
+    for argv in [("apply", path, "--device", "nano", "--out", tmp_path / "cal.csv"),
+                 ("energy", path), ("energy", path, "--device", "nano"),
+                 ("peak", path, f"--threshold={threshold!r}")]:
+        rc, out, err = run(capsys, *argv, "--json")
+        if rc == cli.EXIT_OK:
+            assert err == ""
+            strict_json(out.splitlines()[-1])
+        else:
+            assert (rc, out) == (cli.EXIT_DATA, ""), argv
+            assert_one_error_line(err, "")
+
+
+def test_human_output_keeps_the_key_order(capsys, files, tmp_path):
+    pair = (files / "internal.csv", files / "external.csv", "--device", "nano")
+    fit = ["device", "slope", "intercept_mw", "stated_error_pct", "provenance", "mae_pct",
+           "max_abs_err_pct", "r_squared", "n_samples", "excluded_low_power"]
+    for argv, keys in [
+        (("calibrate", *pair, "--out-model", tmp_path / "fit.model"), fit + ["model_file"]),
+        (("validate", *pair), fit + ["gate_threshold_pct", "gate"]),
+        (("energy", files / "internal.csv"),
+         ["energy_mj", "duration_us", "mean_power_mw", "calibrated_with"]),
+        (("peak", files / "boot.csv", "--threshold", 800),
+         ["peak_value", "peak_timestamp_us", "baseline", "duration_above_threshold_us",
+          "threshold", "unit"]),
+    ]:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert [line.split(" = ")[0] for line in out.splitlines()] == keys
 
 
 def test_undecodable_csv_exits_data(capsys, tmp_path):
