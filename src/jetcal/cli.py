@@ -2,12 +2,13 @@
 
 Subcommands: record, calibrate, apply, validate, energy, peak.
 
-Each command returns its result as a dict and prints nothing; `main`
-prints it, as `key = value` lines or, with --json, as one JSON object
-carrying exactly the same values, and picks the exit code: 0 success,
-1 only when the result says `gate: fail`, 2 usage or configuration
-error, 3 data error. A result number that is not finite is a data error
-(exit 3), so every --json line is strict JSON.
+Each command returns its result as a dict and prints nothing, except
+that `calibrate` warns on stderr when its fitted slope suggests swapped
+files. `main` prints the result, as `key = value` lines or, with --json,
+as one JSON object carrying exactly the same values, and picks the exit
+code: 0 success, 1 only when the result says `gate: fail`, 2 usage or
+configuration error, 3 data error. A result number that is not finite
+is a data error (exit 3), so every --json line is strict JSON.
 
 Building the parser loads no numpy and no pipeline module: each command
 imports what it runs when it starts, so `energy` and `apply` load
@@ -215,33 +216,36 @@ def cmd_apply(args) -> dict:
     import numpy as np
 
     from . import ingest, models
+    from .traces import PowerTrace
 
     _require_inputs(args.input_csv)
     _require_writable(args.out)
     model = _resolve_model(args.device, args.model_file)
     raw = ingest.parse_trace(args.input_csv, "internal_csv", model.device)
-    calibrated = models.apply_trace(model, raw, on_invalid=args.on_invalid)
+    n_read = len(raw)
+    if args.on_invalid == "skip":
+        kept = raw.values >= 0
+        raw = PowerTrace(raw.device, raw.source, raw.unit,
+                         raw.timestamps_us[kept], raw.values[kept])
+    calibrated = models.apply_trace(model, raw)
     ingest.write_trace(calibrated, args.out)
-    n_skipped = len(raw) - len(calibrated)
     result = {
         "device": model.device,
         "n_samples": len(calibrated),
-        "n_skipped": n_skipped,
+        "n_skipped": n_read - len(raw),
         "output": str(args.out),
     }
     if len(calibrated):
-        # Both means over the rows kept: those apply_trace did not skip.
-        kept = raw.values[raw.values >= 0] if n_skipped else raw.values
         # A sum past the float range makes a mean inf, which _emit refuses.
         with np.errstate(over="ignore", invalid="ignore"):
-            mean_raw = float(kept.mean())
+            mean_raw = float(raw.values.mean())
             mean_cal = float(calibrated.values.mean())
         result["mean_raw_mw"] = mean_raw
         result["mean_calibrated_mw"] = mean_cal
         if mean_cal != 0.0:
             result["implied_gap_pct"] = (mean_cal - mean_raw) / mean_cal * 100.0
-    if calibrated.warnings:
-        result["warnings"] = ",".join(calibrated.warnings)
+        if calibrated.values.min() < 0:
+            result["warnings"] = models.NEGATIVE_CALIBRATED_WARNING
     return result
 
 

@@ -79,6 +79,13 @@ class ParseError(DataError):
         super().__init__(f"{where}: {message}")
 
 
+def undecodable(exc: UnicodeDecodeError) -> tuple[int, str]:
+    """Line of the first byte of exc.object that is not UTF-8, counted from
+    the start of exc.object, and the message that names the byte."""
+    line = exc.object.count(b"\n", 0, exc.start) + 1
+    return line, f"not UTF-8 text: cannot decode byte 0x{exc.object[exc.start]:02x}"
+
+
 class NoEvaluableDataError(DataError):
     """Every pair fell below the low-power floor."""
 

@@ -39,7 +39,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, undecodable
 from .traces import PowerTrace
 
 DEFAULT_COIL_TURNS = 10
@@ -129,10 +129,6 @@ def _first_bad_row(t, values, signs, prev=None) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def _undecodable(exc: UnicodeDecodeError) -> str:
-    return f"not UTF-8 text: cannot decode byte 0x{exc.object[exc.start]:02x}"
-
-
 def _loadtxt_reads_as_rows(path) -> bool:
     """Whether np.loadtxt would read this file's cells as the row loop does.
 
@@ -171,7 +167,7 @@ def _read_columns(path, table):
             try:
                 header = next(reader, None)
             except UnicodeDecodeError as exc:
-                raise ParseError(path, None, _undecodable(exc)) from None
+                raise ParseError(path, None, undecodable(exc)[1]) from None
             except csv.Error as exc:
                 raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
             if header is None:
@@ -294,7 +290,7 @@ def _read_rows(path, lines, header, signs, line, prev=None):
             failed = (lineno, _row_error(row, ts[-1] if ts else prev, header, signs))
             break
     except UnicodeDecodeError as exc:
-        failed = (None, _undecodable(exc))
+        failed = (None, undecodable(exc)[1])
     except csv.Error as exc:
         failed = (line - 1 + reader.line_num, f"malformed CSV: {exc}")
 

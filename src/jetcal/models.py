@@ -8,8 +8,8 @@ provenance="fitted".
 
 Calibrated values are never clamped: a reading can legitimately grow by
 more than 50% under calibration, and a fitted model with a negative
-intercept may map tiny readings below zero. Such traces are passed
-through with a warning flag so the caller decides what to do.
+intercept may map tiny readings below zero. Such values are kept, and
+the `apply` command reports them with a warning flag.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InsufficientDataError, InvalidReadingError, ParseError,
-                     UnknownDeviceError)
+                     UnknownDeviceError, undecodable)
 from .traces import PowerTrace, canonical_device_id
 
 PROVENANCES = ("builtin", "fitted")
@@ -97,30 +97,21 @@ def invert_model(model: CalibrationModel, true_mw: float) -> float:
     return (true_mw - model.intercept_mw) / model.slope
 
 
-def apply_trace(model: CalibrationModel, trace: PowerTrace,
-                on_invalid: str = "abort") -> PowerTrace:
+def apply_trace(model: CalibrationModel, trace: PowerTrace) -> PowerTrace:
     """Calibrate every sample of an internal-sensor trace.
 
     Timestamps are preserved and the result is marked source="calibrated".
-    Negative samples are invalid and abort by default; with
-    on_invalid="skip" they are dropped instead. If the model maps any
-    sample below zero the output carries a warning flag rather than being
-    clipped; if it maps one past the float range, InvalidReadingError
-    names the first.
+    A negative sample is invalid and raises InvalidReadingError. Outputs
+    the model maps below zero are kept as they are, not clipped; one
+    mapped past the float range raises InvalidReadingError, naming the
+    first.
     """
-    if on_invalid not in ("abort", "skip"):
-        raise ValueError(f"on_invalid must be 'abort' or 'skip', got {on_invalid!r}")
     raw = trace.values
     bad = raw < 0
     ts = trace.timestamps_us
     if bad.any():
-        if on_invalid == "abort":
-            i = int(np.argmax(bad))
-            raise InvalidReadingError(
-                f"invalid reading {raw[i]} at t={int(ts[i])} us"
-            )
-        ts = ts[~bad]
-        raw = raw[~bad]
+        i = int(np.argmax(bad))
+        raise InvalidReadingError(f"invalid reading {raw[i]} at t={int(ts[i])} us")
     with np.errstate(over="ignore"):
         calibrated = model.slope * raw + model.intercept_mw
     infinite = ~np.isfinite(calibrated)
@@ -128,11 +119,7 @@ def apply_trace(model: CalibrationModel, trace: PowerTrace,
         i = int(np.argmax(infinite))
         raise InvalidReadingError(f"calibrated reading is not finite: {float(raw[i])!r} "
                                   f"mW at t={int(ts[i])} us maps to {float(calibrated[i])!r}")
-    warnings = trace.warnings
-    if len(calibrated) and calibrated.min() < 0:
-        if NEGATIVE_CALIBRATED_WARNING not in warnings:
-            warnings = warnings + (NEGATIVE_CALIBRATED_WARNING,)
-    return PowerTrace(trace.device, "calibrated", "mW", ts, calibrated, warnings)
+    return PowerTrace(trace.device, "calibrated", "mW", ts, calibrated)
 
 
 def integrate_energy(trace: PowerTrace) -> EnergyReport:
@@ -207,8 +194,7 @@ def load_models(path) -> dict[str, CalibrationModel]:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
-                         f"not UTF-8 text: cannot decode byte 0x{data[exc.start]:02x}") from None
+        raise ParseError(path, *undecodable(exc)) from None
     registry: dict[str, CalibrationModel] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -22,26 +22,9 @@ from .errors import (DegenerateDataError, InsufficientDataError,
                      InvalidReadingError, NoEvaluableDataError,
                      SuspiciousFitError)
 from .models import CalibrationModel
+from .traces import PairedDataset
 
 DEFAULT_LOW_POWER_FLOOR_MW = 100.0
-
-
-@dataclass(frozen=True, eq=False)
-class PairedDataset:
-    """Time-aligned (internal_mw, external_mw) observations for one device.
-
-    signal.align builds it from two PowerTraces and refuses negative
-    pairs, so its columns are 1-d, of equal length, finite and >= 0, with
-    strictly increasing timestamps; nothing here checks them again.
-    """
-
-    device: str
-    timestamps_us: np.ndarray
-    internal_mw: np.ndarray
-    external_mw: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.timestamps_us)
 
 
 @dataclass(frozen=True)

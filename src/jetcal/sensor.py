@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .errors import (ERROR_RATE_LIMIT, InsufficientDataError, ProfileError,
-                     SamplerFailedError, SensorReadError)
+                     SamplerFailedError, SensorReadError, undecodable)
 from .traces import PowerSample, PowerTrace, canonical_device_id
 
 MODES = ("whole_board", "sum_rails")
@@ -348,9 +348,8 @@ def load_profile(path) -> DeviceProfile:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ProfileError(f"{path}:{line}: not UTF-8 text: "
-                           f"cannot decode byte 0x{data[exc.start]:02x}") from None
+        line, why = undecodable(exc)
+        raise ProfileError(f"{path}:{line}: {why}") from None
     found: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (BaselineUndefinedError, EmptyOverlapError,
                      InsufficientDataError, InvalidReadingError, UnitError)
-from .traces import PowerTrace
-
-if TYPE_CHECKING:
-    from .regression import PairedDataset
+from .traces import PairedDataset, PowerTrace
 
 DEFAULT_WINDOW_US = 100_000
 DEFAULT_MAX_GAP_US = 10_000
@@ -45,8 +41,10 @@ def moving_average(trace: PowerTrace, window_us: int = DEFAULT_WINDOW_US) -> Pow
     to the length of the trace. The remaining error is second order in
     machine epsilon; the means are checked against a correctly rounded
     per-window mean to 1e-12 relative on traces of up to 2e6 samples.
-    Sums past the float range raise InvalidReadingError, naming the
-    first timestamp whose mean is not finite.
+    Where a prefix sum could pass the float range, the values are first
+    scaled by a power of two, exactly, and the means scaled back, so any
+    finite window mean comes out; a mean that is not finite still raises
+    InvalidReadingError, naming its timestamp.
     """
     if len(trace) == 0:
         raise InsufficientDataError("cannot filter an empty trace")
@@ -57,26 +55,34 @@ def moving_average(trace: PowerTrace, window_us: int = DEFAULT_WINDOW_US) -> Pow
     if window_us > trace.span_us:
         # Returned before ts[0] + window_us, which int64 may not hold.
         return PowerTrace(trace.device, trace.source, trace.unit, ts[:0],
-                          trace.values[:0], trace.warnings)
+                          trace.values[:0])
     first = int(np.searchsorted(ts, ts[0] + window_us, side="left"))
     hi = np.arange(first + 1, len(ts) + 1)
     lo = np.searchsorted(ts, ts[first:] - window_us, side="right")
+    values = trace.values
+    # Every prefix sum stays below 2**1022 once the values are below
+    # 2**(1022 - n.bit_length()); k is 0 unless a sum could pass that.
+    k = max(0, math.frexp(float(np.abs(values).max()))[1] + len(values).bit_length() - 1022)
+    if k:
+        values = np.ldexp(values, -k)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # cumsum adds in order, so prefix[:-1] + values re-forms each of its steps.
-        prefix = np.concatenate(([0.0], np.cumsum(trace.values)))
-        _, step_err = _two_sum(prefix[:-1], trace.values)
+        prefix = np.concatenate(([0.0], np.cumsum(values)))
+        _, step_err = _two_sum(prefix[:-1], values)
         carried = np.concatenate(([0.0], np.cumsum(step_err)))
         # TwoSum on the difference too: without it a window sum can land one
         # ulp away from the correctly rounded sum.
         diff, diff_err = _two_sum(prefix[hi], -prefix[lo])
         means = (diff + (diff_err + (carried[hi] - carried[lo]))) / (hi - lo)
+    if k:
+        means = np.ldexp(means, k)
     bad = ~np.isfinite(means)
     if bad.any():
         raise InvalidReadingError(f"moving average is not finite at "
                                   f"t={int(ts[first + int(np.argmax(bad))])} us")
     return PowerTrace(trace.device, trace.source, trace.unit,
-                      ts[first:], means, trace.warnings)
+                      ts[first:], means)
 
 
 def align(internal: PowerTrace, external: PowerTrace,
@@ -88,12 +94,10 @@ def align(internal: PowerTrace, external: PowerTrace,
     bracketing external samples are within max_gap_us of the internal
     timestamp, so stale interpolations across recording gaps are dropped.
     Interpolation at an exact external knot returns the knot value.
-    A kept pair with a negative value raises InvalidReadingError, naming
-    the first such pair's stream, value and timestamp.
+    A kept pair with a negative value, or whose interpolated value is not
+    finite (two huge knots of opposite sign), raises InvalidReadingError,
+    naming the first such pair's stream, value and timestamp.
     """
-    # Loaded here, so that `peak` loads neither regression nor models.
-    from .regression import PairedDataset
-
     if len(internal) == 0 or len(external) == 0:
         raise EmptyOverlapError("both traces must be non-empty")
     if internal.unit != "mW" or external.unit != "mW":
@@ -123,16 +127,19 @@ def align(internal: PowerTrace, external: PowerTrace,
     span = (ext_ts[right] - ext_ts[left]).astype(np.float64)
     frac = np.zeros_like(span)
     np.divide((ts - ext_ts[left]).astype(np.float64), span, out=frac, where=span > 0)
-    interp = ext_vals[left] + (ext_vals[right] - ext_vals[left]) * frac
+    # Knots near +-1e308 of opposite sign overflow their difference.
+    with np.errstate(over="ignore", invalid="ignore"):
+        interp = ext_vals[left] + (ext_vals[right] - ext_vals[left]) * frac
     interp = np.where(at_knot, ext_vals[left], interp)
 
     ts, raw, interp = ts[keep], raw[keep], interp[keep]
-    negative = (raw < 0) | (interp < 0)
-    if negative.any():
-        i = int(np.argmax(negative))
+    bad = (raw < 0) | (interp < 0) | ~np.isfinite(interp)
+    if bad.any():
+        i = int(np.argmax(bad))
         stream, value = ("internal", raw[i]) if raw[i] < 0 else ("external", interp[i])
         raise InvalidReadingError(
-            f"aligned {stream} power {float(value)!r} mW at t={int(ts[i])} us is negative"
+            f"aligned {stream} power {float(value)!r} mW at t={int(ts[i])} us "
+            f"is {'negative' if value < 0 else 'not finite'}"
         )
     return PairedDataset(internal.device, ts, raw, interp)
 

@@ -1,4 +1,4 @@
-"""Core trace types: timestamped power readings and ordered traces.
+"""Core trace types: power readings, ordered traces and aligned pairs.
 
 Timestamps are integer microseconds since the epoch so that two streams
 recorded on a shared network clock can be aligned without float rounding.
@@ -14,7 +14,7 @@ as the live sampler, runs without loading it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -36,8 +36,7 @@ class PowerTrace:
     """Ordered sample sequence with source and device metadata.
 
     Invariants enforced at construction: strictly increasing timestamps,
-    finite values, known source and unit. `warnings` carries non-fatal
-    flags attached by processing steps (e.g. negative calibrated values).
+    finite values, known source and unit.
     """
 
     device: str
@@ -45,7 +44,6 @@ class PowerTrace:
     unit: str
     timestamps_us: np.ndarray
     values: np.ndarray
-    warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         import numpy as np
@@ -78,6 +76,24 @@ class PowerTrace:
         if len(self) < 2:
             return 0
         return int(self.timestamps_us[-1] - self.timestamps_us[0])
+
+
+@dataclass(frozen=True, eq=False)
+class PairedDataset:
+    """Time-aligned (internal_mw, external_mw) observations for one device.
+
+    signal.align builds it from two PowerTraces and refuses negative
+    pairs, so its columns are 1-d, of equal length, finite and >= 0, with
+    strictly increasing timestamps; nothing here checks them again.
+    """
+
+    device: str
+    timestamps_us: np.ndarray
+    internal_mw: np.ndarray
+    external_mw: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamps_us)
 
 
 def canonical_device_id(name: str) -> str:

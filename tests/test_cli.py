@@ -391,6 +391,45 @@ def test_apply_skip_counts_the_skipped_rows_and_means_the_kept_ones(capsys, tmp_
     assert cal.timestamps_us.tolist() == [0, 2000]
 
 
+def test_apply_flags_negative_calibrated_values_last(capsys, tmp_path):
+    path = power_csv(tmp_path / "raw.csv", [10.0, 10000.0])
+    model = tmp_path / "neg.model"
+    model.write_text("device=nano slope=1.5 intercept_mw=-500.0 error_pct=1.0 "
+                     "provenance=fitted\n")
+    argv = ("apply", path, "--model", model, "--out", tmp_path / "cal.csv")
+    rc, report = run_json(capsys, *argv)
+    assert rc == cli.EXIT_OK
+    assert report["warnings"] == "negative_calibrated_values"
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (cli.EXIT_OK, "")
+    assert out.splitlines()[-1] == "warnings = negative_calibrated_values"
+    cal = ingest.parse_trace(tmp_path / "cal.csv", "internal_csv")
+    assert cal.values.tolist() == [1.5 * 10.0 - 500.0, 1.5 * 10000.0 - 500.0]
+
+
+def test_apply_skip_of_every_row_writes_only_the_header(capsys, tmp_path):
+    path = power_csv(tmp_path / "raw.csv", [-1.0, -2.0, -3.0])
+    rc, out = run_json(capsys, "apply", path, "--device", "nano", "--on-invalid", "skip",
+                       "--out", tmp_path / "cal.csv")
+    assert rc == cli.EXIT_OK
+    assert out == {"device": "nano", "n_samples": 0, "n_skipped": 3,
+                   "output": str(tmp_path / "cal.csv")}
+    assert (tmp_path / "cal.csv").read_text() == "timestamp_us,power_mw\n"
+
+
+def test_apply_skip_of_no_row_is_apply(capsys, tmp_path):
+    path = power_csv(tmp_path / "raw.csv", [5.0, 0.0, 7.0])
+    results = []
+    for policy in ("abort", "skip"):
+        out_csv = tmp_path / f"{policy}.csv"
+        rc, out = run_json(capsys, "apply", path, "--device", "nano", "--on-invalid", policy,
+                           "--out", out_csv)
+        assert (rc, out.pop("output")) == (cli.EXIT_OK, str(out_csv))
+        results.append((out, out_csv.read_bytes()))
+    assert results[0] == results[1]
+    assert results[0][0]["n_skipped"] == 0
+
+
 def test_energy_below_zero_exits_data(capsys, tmp_path):
     path = power_csv(tmp_path / "raw.csv", [100.0, -300.0, 50.0])
     rc, out, err = run(capsys, "energy", path)
@@ -433,13 +472,46 @@ def test_a_number_past_the_float_range_exits_data(capsys, tmp_path, argv, rows, 
     assert_one_error_line(err, message)
 
 
-@pytest.mark.parametrize("command", ["calibrate", "validate"])
-def test_window_sums_past_the_float_range_exit_data(capsys, tmp_path, command):
+@pytest.mark.parametrize("command, message", [
+    ("calibrate", "internal readings are all identical"),
+    ("validate", "percentage error is not finite: the model predicts "),
+], ids=["calibrate", "validate"])
+def test_window_sums_past_the_float_range_exit_data(capsys, tmp_path, command, message):
+    # Every window mean is 1.25e308, finite though the window sums are not.
     internal = power_csv(tmp_path / "internal.csv", np.where(np.arange(400) % 2, 1.5e308, 1e308))
     external = power_csv(tmp_path / "external.csv", 1000.0 + np.arange(400.0))
     rc, out, err = run(capsys, command, internal, external, "--device", "nano")
     assert (rc, out) == (cli.EXIT_DATA, "")
-    assert_one_error_line(err, "moving average is not finite at t=100000 us")
+    assert_one_error_line(err, message)
+
+
+def test_window_sums_past_the_float_range_fit(capsys, tmp_path):
+    internal = 1e306 * (1.0 + np.arange(400.0) / 1000.0)
+    files = [power_csv(tmp_path / "internal.csv", internal),
+             power_csv(tmp_path / "external.csv", 1.1 * internal)]
+    rc, report = run_json(capsys, "calibrate", *files, "--device", "nano",
+                          "--window-us", 1000)
+    assert rc == cli.EXIT_OK
+    assert report["slope"] == pytest.approx(1.1)
+
+
+@pytest.mark.parametrize("knots, message", [
+    ((-1.7e308, 1.7e308), "aligned external power inf mW at t=5500 us is not finite"),
+    ((1.7e308, -1.7e308), "aligned external power -inf mW at t=5500 us is negative"),
+], ids=["rising", "falling"])
+@pytest.mark.parametrize("command", ["calibrate", "validate"])
+def test_interpolation_past_the_float_range_exits_data(capsys, tmp_path, command, knots,
+                                                        message):
+    # Between two huge knots of opposite sign the interpolant overflows.
+    internal = tmp_path / "internal.csv"
+    ingest.write_trace(PowerTrace("nano", "internal", "mW", 1000 * np.arange(400) + 500,
+                                  5000.0 + np.arange(400.0)), internal)
+    external = rows_csv(tmp_path / "external.csv", [(0, 1.0), (5000, knots[0]),
+                                                    (10000, knots[1])])
+    rc, out, err = run(capsys, command, internal, external, "--device", "nano",
+                       "--window-us", 1)
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, message)
 
 
 def test_peak_baseline_of_two_huge_values_is_their_mean(capsys, tmp_path):

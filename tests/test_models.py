@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from jetcal.errors import (InsufficientDataError, InvalidReadingError,
                            ParseError, UnknownDeviceError)
-from jetcal.models import (BOOT_PEAK_CURRENT_MA, BUILTIN_MODELS,
-                           NEGATIVE_CALIBRATED_WARNING, CalibrationModel,
+from jetcal.models import (BOOT_PEAK_CURRENT_MA, BUILTIN_MODELS, CalibrationModel,
                            apply_trace, get_model,
                            integrate_energy, invert_model, load_models,
                            parse_model_line, save_models)
@@ -174,21 +173,13 @@ def test_apply_trace_matches_scalar_apply_per_element():
 
 def test_apply_trace_abort_on_negative_sample():
     trace = make_trace([0, 1000], [100.0, -5.0])
-    with pytest.raises(InvalidReadingError):
+    with pytest.raises(InvalidReadingError, match=r"^invalid reading -5\.0 at t=1000 us$"):
         apply_trace(NANO, trace)
 
 
-def test_apply_trace_skip_drops_invalid_samples():
-    trace = make_trace([0, 1000, 2000], [100.0, -5.0, 200.0])
-    out = apply_trace(NANO, trace, on_invalid="skip")
-    assert out.timestamps_us.tolist() == [0, 2000]
-    assert len(out) == 2
-
-
-def test_apply_trace_flags_negative_output_without_clipping():
+def test_apply_trace_keeps_negative_output_without_clipping():
     fitted = CalibrationModel("bench", 1.5, -500.0, 1.0, "fitted")
     out = apply_trace(fitted, make_trace([0, 1000], [10.0, 10000.0]))
-    assert NEGATIVE_CALIBRATED_WARNING in out.warnings
     assert out.values[0] == pytest.approx(1.5 * 10.0 - 500.0)
     assert out.values[0] < 0
 

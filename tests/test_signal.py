@@ -140,6 +140,20 @@ def test_white_noise_variance_reduction(rng):
     assert abs(emitted_var - theory) <= band
 
 
+@pytest.mark.parametrize("window_us", [1000, 100_000])
+def test_window_sums_past_the_float_range_match_oracle(window_us):
+    # Prefix sums of these values pass the float maximum; the window means
+    # do not. fsum overflows on them, so the oracle sums exact fractions.
+    ts = 1000 * np.arange(400)
+    vals = 1e306 * (1.0 + np.arange(400.0) / 1000.0)
+    out = moving_average(make_trace(ts, vals), window_us)
+    assert len(out) == 400 - window_us // 1000
+    for t, v in zip(out.timestamps_us.tolist(), out.values.tolist()):
+        picked = vals[(ts > t - window_us) & (ts <= t)].tolist()
+        expected = float(sum(map(Fraction, picked)) / len(picked))
+        assert v == pytest.approx(expected, rel=1e-12)
+
+
 def test_filter_rejects_bad_window_and_empty_trace():
     with pytest.raises(ValueError):
         moving_average(make_trace([0], [1.0]), 0)
