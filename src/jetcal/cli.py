@@ -161,8 +161,8 @@ def cmd_record(args) -> dict:
     buffer.write_csv(args.out)
     if buffer.dropped:
         raise DataError(
-            f"sample buffer overflowed: dropped the oldest {buffer.dropped} of "
-            f"{stats.samples_taken} samples taken; {args.out} holds the last {len(buffer)}"
+            f"sample buffer overflowed: {args.out} holds the first {len(buffer)} "
+            f"samples; dropped the last {buffer.dropped} of {stats.samples_taken} taken"
         )
     result = {
         "device": profile.device,

@@ -33,9 +33,10 @@ class ProfileError(ConfigError):
 
 class InvalidReadingError(DataError):
     """A power reading, an aligned pair or an energy integral is invalid (< 0),
-    or a figure computed from finite readings is not finite: a calibrated
-    reading, a window mean, the fitted line, a percentage error against a
-    reference or a number the CLI would print."""
+    or a figure computed from finite readings is not finite: an external
+    power from volts and amps, a calibrated reading, a window mean, the
+    fitted line, a percentage error against a reference or a number the CLI
+    would print."""
 
 
 class InsufficientDataError(DataError):

@@ -39,7 +39,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import ParseError, undecodable
+from .errors import InvalidReadingError, ParseError, undecodable
 from .traces import PowerTrace
 
 DEFAULT_COIL_TURNS = 10
@@ -79,11 +79,18 @@ def power_from_channels(timestamps_us, volts, clamp_a,
     The clamp sits around a coil of `coil_turns` windings, so it reads
     coil_turns times the conductor current; the true current is the clamp
     reading divided by the turn count. Power is V * I in watts, scaled
-    to mW.
+    to mW. A product past the float range is an InvalidReadingError.
     """
     if coil_turns < 1:
         raise ValueError(f"coil_turns must be >= 1, got {coil_turns}")
-    power_mw = np.multiply(volts, np.divide(clamp_a, coil_turns)) * 1000.0
+    with np.errstate(over="ignore"):
+        power_mw = np.multiply(volts, np.divide(clamp_a, coil_turns)) * 1000.0
+    finite = np.isfinite(power_mw)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InvalidReadingError(
+            f"external power is not finite: {float(volts[i])} V and {float(clamp_a[i])} A "
+            f"at t={int(timestamps_us[i])} us give {float(power_mw[i])} mW")
     return PowerTrace(device, "external", "mW", timestamps_us, power_mw)
 
 

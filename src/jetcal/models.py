@@ -188,7 +188,10 @@ def parse_model_line(line: str, path="<string>", lineno: int | None = None) -> C
 
 
 def load_models(path) -> dict[str, CalibrationModel]:
-    """Read a text model file into a device-keyed registry dict."""
+    """Read a text model file into a device-keyed registry dict.
+
+    A second record for one device is a ParseError at its line.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -201,6 +204,8 @@ def load_models(path) -> dict[str, CalibrationModel]:
         if not line or line.startswith("#"):
             continue
         model = parse_model_line(line, path, lineno)
+        if model.device in registry:
+            raise ParseError(path, lineno, f"a second model for device {model.device!r}")
         registry[model.device] = model
     if not registry:
         raise ParseError(path, None, "model file contains no records")

@@ -8,8 +8,8 @@ profile rather than in code.
 A node path of the form `replay:<trace.csv>` swaps the filesystem reader
 for an in-memory replay of that trace, letting the whole pipeline run and
 be tested with no hardware attached. The sampler keeps no sample it
-delivers; `record` collects them in SampleBuffer, a ring of two stdlib
-array columns that writes its own CSV, so recording loads no numpy.
+delivers; `record` collects them in SampleBuffer, two append-only stdlib
+array columns that write their own CSV, so recording loads no numpy.
 """
 
 from __future__ import annotations
@@ -194,11 +194,10 @@ def sample_once(profile: DeviceProfile, nodes) -> PowerSample:
 
 
 class SampleBuffer:
-    """Bounded single-producer sink that drops the oldest sample on overflow.
+    """Single-producer sink that keeps the first maxlen samples in order.
 
-    A columnar ring: sample k goes to row k % maxlen of two stdlib array
-    columns, int64 timestamps ('q') and float64 values ('d'), which grow
-    to maxlen as samples arrive.
+    Two stdlib array columns, int64 timestamps ('q') and float64 values
+    ('d'), grow by append; samples past maxlen are counted in dropped.
     """
 
     def __init__(self, maxlen: int = 1_000_000):
@@ -209,53 +208,45 @@ class SampleBuffer:
 
     @property
     def dropped(self) -> int:
-        return max(self.taken - self.maxlen, 0)
+        return self.taken - len(self._values)
 
     def __len__(self) -> int:
         """Samples kept."""
         return len(self._values)
 
     def __call__(self, sample: PowerSample) -> None:
-        t, v = sample
         if self.taken < self.maxlen:
+            t, v = sample
             self._timestamps.append(t)
             self._values.append(v)
-        else:
-            row = self.taken % self.maxlen
-            self._timestamps[row] = t
-            self._values[row] = v
         self.taken += 1
 
     def to_trace(self, device: str) -> PowerTrace:
-        """A copy of the kept samples, oldest first, as an internal mW trace."""
+        """A copy of the kept samples as an internal mW trace."""
         import numpy as np
 
-        head = self.dropped % self.maxlen
-        ts, values = self._timestamps, self._values
         return PowerTrace(device, "internal", "mW",
-                          np.frombuffer(ts[head:] + ts[:head], dtype=np.int64),
-                          np.frombuffer(values[head:] + values[:head], dtype=np.float64))
+                          np.frombuffer(self._timestamps[:], dtype=np.int64),
+                          np.frombuffer(self._values[:], dtype=np.float64))
 
     def write_csv(self, path) -> None:
-        """Write the kept samples, oldest first, as an internal_csv file.
+        """Write the kept samples as an internal_csv file.
 
         The bytes are those of ingest.write_trace on to_trace(), and so is
         the formatting: each run of equal value bits in a chunk of
         _WRITE_ROWS rows is formatted once, as a "%d" format of its rows.
         """
-        head = self.dropped % self.maxlen
         ts, values = self._timestamps, self._values
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("timestamp_us,power_mw\n")
-            for first, stop in ((head, len(values)), (0, head)):
-                for start in range(first, stop, _WRITE_ROWS):
-                    end = min(start + _WRITE_ROWS, stop)
-                    chunk, rows, i = values[start:end], [], 0
-                    for _, run in groupby(array("q", chunk.tobytes())):
-                        n = len(list(run))
-                        rows.append(f"%d,{chunk[i]!r}\n" * n)
-                        i += n
-                    fh.write("".join(rows) % tuple(ts[start:end]))
+            for start in range(0, len(values), _WRITE_ROWS):
+                end = start + _WRITE_ROWS
+                chunk, rows, i = values[start:end], [], 0
+                for _, run in groupby(array("q", chunk.tobytes())):
+                    n = len(list(run))
+                    rows.append(f"%d,{chunk[i]!r}\n" * n)
+                    i += n
+                fh.write("".join(rows) % tuple(ts[start:end]))
 
 
 def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
@@ -374,7 +365,7 @@ def load_profile(path) -> DeviceProfile:
     return DeviceProfile(**found)  # type: ignore[arg-type]
 
 
-def resolve_profile(name_or_path: str, search_env: str = PROFILE_PATH_ENV) -> Path:
+def resolve_profile(name_or_path: str) -> Path:
     """Find a profile by literal path, then via the search-path env var.
 
     The environment variable holds a colon-separated directory list; each
@@ -386,7 +377,7 @@ def resolve_profile(name_or_path: str, search_env: str = PROFILE_PATH_ENV) -> Pa
     if literal.is_file():
         return literal
     candidates = []
-    for directory in os.environ.get(search_env, "").split(":"):
+    for directory in os.environ.get(PROFILE_PATH_ENV, "").split(":"):
         if not directory:
             continue
         for suffix in ("", ".profile"):
@@ -395,4 +386,4 @@ def resolve_profile(name_or_path: str, search_env: str = PROFILE_PATH_ENV) -> Pa
         if candidate.is_file():
             return candidate
     raise ProfileError(f"profile {name_or_path!r} not found "
-                       f"(searched literal path and ${search_env})")
+                       f"(searched literal path and ${PROFILE_PATH_ENV})")

@@ -38,10 +38,6 @@ class PiecewisePower:
         frac = np.clip((ts - t0) / np.maximum(t1 - t0, 1.0), 0.0, 1.0)
         return self.v_start_mw[idx] + (self.v_end_mw[idx] - self.v_start_mw[idx]) * frac
 
-    @property
-    def duration_us(self) -> int:
-        return int(self.seg_end_us[-1])
-
 
 def random_power_profile(duration_us: int, rng: np.random.Generator,
                          lo_mw: float = 5000.0, hi_mw: float = 20000.0) -> PiecewisePower:
@@ -112,19 +108,15 @@ def synthetic_pair(model: CalibrationModel, duration_us: int = 120_000_000,
 def boot_current_trace(peak_ma: float, device: str = "unknown",
                        baseline_ma: float = 200.0,
                        resolution_us: int = 100,
-                       spike_samples: int = 3,
                        pre_samples: int = 50,
                        post_samples: int = 50) -> PowerTrace:
     """Boot transient: flat baseline with a sub-millisecond current spike.
 
-    The spike is a triangle spanning exactly spike_samples grid points
-    (odd count), touching peak_ma exactly once at the apex.
+    The spike is a triangle three grid points wide, touching peak_ma
+    exactly once at the apex.
     """
-    if spike_samples < 1 or spike_samples % 2 == 0:
-        raise ValueError("spike_samples must be a positive odd count")
-    half = spike_samples // 2
-    rise = np.linspace(baseline_ma, peak_ma, half + 2)[1:-1]
-    spike = np.concatenate([rise, [peak_ma], rise[::-1]])
+    shoulder = baseline_ma + (peak_ma - baseline_ma) / 2
+    spike = [shoulder, peak_ma, shoulder]
     values = np.concatenate([
         np.full(pre_samples, baseline_ma),
         spike,

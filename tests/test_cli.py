@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from jetcal import cli, ingest, regression, sensor, synth
 from jetcal import signal as sig
-from jetcal.models import BOOT_PEAK_CURRENT_MA, get_model
+from jetcal.models import BOOT_PEAK_CURRENT_MA, get_model, save_models
 from jetcal.traces import PowerTrace
 
 from conftest import oracle_trace_csv
@@ -130,6 +130,32 @@ def test_validate_wrong_device_fails_gate(capsys, files):
     assert set(out) == VALIDATE_KEYS
 
 
+def test_calibrate_on_swapped_files_warns_and_still_reports(capsys, tmp_path):
+    internal, external, _ = synth.synthetic_pair(NANO, 30_000_000, seed=3)
+    ingest.write_trace(external, tmp_path / "internal.csv")
+    ingest.write_trace(internal, tmp_path / "external.csv")
+    rc, out, err = run(capsys, "calibrate", tmp_path / "internal.csv",
+                       tmp_path / "external.csv", "--device", "nano", "--json")
+    assert rc == cli.EXIT_OK
+    assert strict_json(out)["slope"] < 1.0
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("warning: fitted slope 0.") and err.endswith("files swapped?\n")
+
+
+def two_model_file(tmp_path):
+    path = tmp_path / "two.model"
+    save_models([get_model("nano"), get_model("tx2")], path)
+    return path
+
+
+def test_device_picks_its_model_from_a_model_file(capsys, files, tmp_path):
+    trace = files / "internal.csv"
+    rc, out = run_json(capsys, "energy", trace, "--model", two_model_file(tmp_path),
+                       "--device", "TX2")
+    assert (rc, out["calibrated_with"]) == (cli.EXIT_OK, "tx2")
+    assert out == run_json(capsys, "energy", trace, "--device", "tx2")[1]
+
+
 def test_apply_then_energy(capsys, files, tmp_path):
     calibrated = tmp_path / "cal.csv"
     rc, out = run_json(capsys, "apply", files / "internal.csv", "--device", "nano",
@@ -232,6 +258,21 @@ def test_unknown_device_exits_config(capsys, files, tmp_path):
                      "--out", tmp_path / "x.csv")
     assert rc == cli.EXIT_CONFIG
     assert_one_error_line(err, "unknown device 'pluto'")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--model", "{model}", "--device", "pluto"),
+     "device 'pluto' not in {model} (has: nano, tx2)"),
+    (("--model", "{model}"), "{model} holds 2 models; pick one with --device"),
+    ((), "need --device (registry) or --model <file>"),
+], ids=["unknown-device", "no-device", "neither"])
+def test_unresolved_model_exits_config(capsys, files, tmp_path, flags, message):
+    model = two_model_file(tmp_path)
+    rc, out, err = run(capsys, "apply", files / "internal.csv",
+                       *(f.format(model=model) for f in flags), "--out", tmp_path / "x.csv")
+    assert (rc, out) == (cli.EXIT_CONFIG, "")
+    assert_one_error_line(err, message.format(model=model))
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_non_numeric_profile_value_exits_config(capsys, tmp_path):
@@ -472,6 +513,19 @@ def test_a_number_past_the_float_range_exits_data(capsys, tmp_path, argv, rows, 
     assert_one_error_line(err, message)
 
 
+@pytest.mark.parametrize("command", ["calibrate", "validate"])
+def test_a_volts_times_amps_past_the_float_range_exits_data(capsys, tmp_path, command):
+    internal = power_csv(tmp_path / "internal.csv", 1000.0 + np.arange(4.0))
+    external = tmp_path / "external.csv"
+    external.write_text("timestamp_us,voltage_v,current_a\n0,1e200,1e200\n"
+                        "1000,5.0,2.0\n2000,5.0,3.0\n3000,5.0,4.0\n")
+    rc, out, err = run(capsys, command, internal, external, "--device", "nano",
+                       "--window-us", 1)
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, "external power is not finite: 1e+200 V and 1e+200 A "
+                               "at t=0 us give inf mW")
+
+
 @pytest.mark.parametrize("command, message", [
     ("calibrate", "internal readings are all identical"),
     ("validate", "percentage error is not finite: the model predicts "),
@@ -590,6 +644,15 @@ def test_undecodable_model_file_exits_data(capsys, files, tmp_path):
     assert_one_error_line(err, f"{model}:1: not UTF-8")
 
 
+def test_a_second_model_for_one_device_exits_data(capsys, files, tmp_path):
+    model = tmp_path / "dup.model"
+    model.write_text("device=nano slope=1.1 intercept_mw=0.0 error_pct=1.0 provenance=fitted\n"
+                     "device=NANO slope=1.3 intercept_mw=0.0 error_pct=1.0 provenance=fitted\n")
+    rc, out, err = run(capsys, "energy", files / "internal.csv", "--model", model)
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, f"{model}:2: a second model for device 'nano'")
+
+
 def file_node_profile(tmp_path, content):
     (tmp_path / "node").write_text(content)
     profile = tmp_path / "file.profile"
@@ -606,7 +669,8 @@ def test_record_overflow_exits_data_after_writing_kept_rows(capsys, monkeypatch,
     rc, out, err = run(capsys, "record", "--profile", profile, "--duration", 0.05,
                        "--out", out_csv)
     assert (rc, out) == (cli.EXIT_DATA, "")
-    assert_one_error_line(err, "sample buffer overflowed: dropped the oldest ")
+    assert_one_error_line(err, f"sample buffer overflowed: {out_csv} holds the first 10 "
+                               f"samples; dropped the last ")
     recorded = ingest.parse_trace(out_csv, "internal_csv")
     assert len(recorded) == 10
     assert np.all(recorded.values == 4321.0)

@@ -1,7 +1,7 @@
 """The live sampler: buffer, clock, replay nodes, read-error rule, profiles.
 
-The buffer is checked against a `collections.deque(maxlen=...)` and the
-CSV it writes against one repr per row, the clock and the replay nodes
+The buffer is checked against the first `maxlen` samples it is fed and
+the CSV it writes against one repr per row, the clock and the replay nodes
 against injected fake clocks, and the error rule against node stubs that
 fail on a chosen set of reads.
 """
@@ -9,7 +9,6 @@ fail on a chosen set of reads.
 import dataclasses
 import itertools
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -63,30 +62,32 @@ def sample_reads(nodes, reads):
 @given(maxlen=st.integers(1, 20),
        gaps=st.lists(st.integers(1, 10**6), max_size=100),
        data=st.data())
-def test_buffer_keeps_what_a_bounded_deque_keeps(maxlen, gaps, data):
+def test_buffer_keeps_the_first_maxlen_samples_in_order(maxlen, gaps, data):
     timestamps = list(itertools.accumulate(gaps, initial=1_700_000_000_000_000))[1:]
     values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                 min_size=len(gaps), max_size=len(gaps)))
     buffer = sensor.SampleBuffer(maxlen)
-    oracle = deque(maxlen=maxlen)
     for sample in map(PowerSample, timestamps, values):
         buffer(sample)
-        oracle.append(sample)
     trace = buffer.to_trace("nano")
-    assert np.array_equal(trace.timestamps_us, [s.timestamp_us for s in oracle])
-    assert np.array_equal(trace.values, [s.value for s in oracle])
-    assert buffer.dropped == len(gaps) - len(oracle)
+    assert np.array_equal(trace.timestamps_us, timestamps[:maxlen])
+    assert np.array_equal(trace.values, values[:maxlen])
+    assert (buffer.taken, buffer.dropped) == (len(gaps), max(0, len(gaps) - maxlen))
     assert (trace.device, trace.source, trace.unit) == ("nano", "internal", "mW")
 
 
-def test_trace_is_a_copy_of_the_ring():
+def test_trace_is_a_copy_of_the_buffer():
     buffer = sensor.SampleBuffer(3)
-    for k in range(1, 5):
+    for k in range(1, 3):
         buffer(PowerSample(k, float(k)))
     before = buffer.to_trace("nano")
-    buffer(PowerSample(5, 5.0))
-    assert before.timestamps_us.tolist() == [2, 3, 4]
-    assert buffer.to_trace("nano").timestamps_us.tolist() == [3, 4, 5]
+    buffer(PowerSample(3, 3.0))
+    assert before.timestamps_us.tolist() == [1, 2]
+    full = buffer.to_trace("nano")
+    buffer(PowerSample(4, 4.0))
+    assert full.timestamps_us.tolist() == [1, 2, 3]
+    assert buffer.to_trace("nano").timestamps_us.tolist() == [1, 2, 3]
+    assert buffer.dropped == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -102,7 +103,7 @@ def test_trace_is_a_copy_of_the_ring():
 def test_written_csv_is_one_repr_per_kept_row(tmp_path_factory, maxlen, pool, picks, steps,
                                               t0, chunk_rows):
     # Picks into a small pool repeat values both next to each other and
-    # apart; up to 40 samples into at most 12 rows wrap the ring.
+    # apart; up to 40 samples into at most 12 rows overflow the buffer.
     values = [pool[i % len(pool)] for i in picks]
     buffer = sensor.SampleBuffer(maxlen)
     for sample in map(PowerSample, itertools.accumulate(steps, initial=t0), values):
@@ -117,16 +118,17 @@ def test_written_csv_is_one_repr_per_kept_row(tmp_path_factory, maxlen, pool, pi
     assert (d / "trace.csv").read_bytes() == oracle_trace_csv(trace)
 
 
-def test_runs_across_chunk_edges_of_a_wrapped_ring_write_one_chunk_at_a_time(tmp_path):
-    # Five dropped samples put the ring's head at row 5, so its first
-    # segment ends on a chunk edge and the second starts the fourth chunk.
+def test_runs_across_chunk_edges_write_one_chunk_at_a_time(tmp_path):
+    # Five samples after the buffer is full are dropped and write nothing.
     ts, values = chunk_edge_rows(sensor._WRITE_ROWS)
     buffer = sensor.SampleBuffer(len(ts))
-    for sample in itertools.chain(map(PowerSample, range(-5, 0), [1.0] * 5),
-                                  map(PowerSample, ts, values)):
+    extra = range(ts[-1] + 1, ts[-1] + 6)
+    for sample in itertools.chain(map(PowerSample, ts, values),
+                                  map(PowerSample, extra, [1.0] * 5)):
         buffer(sample)
     with recording_writes(sensor) as writes:
         buffer.write_csv(tmp_path / "rec.csv")
+    assert buffer.dropped == 5
     assert (tmp_path / "rec.csv").read_bytes() == oracle_trace_csv(make_trace(ts, values))
     assert [text.count("\n") for text in writes] == [1] + [sensor._WRITE_ROWS] * 3 + [5]
 
@@ -161,6 +163,14 @@ def test_timestamps_follow_monotonic_clock_across_wall_clock_step(monkeypatch):
                        nodes=nodes)
     assert len(timestamps) == 200
     assert np.array_equal(np.diff(timestamps), np.diff(mono_at_read) // 1000)
+
+
+def test_clock_ties_are_bumped_one_microsecond_apart(monkeypatch):
+    c = 1_700_000_000_000_000
+    monkeypatch.setattr(sensor, "now_us", lambda: c)
+    samples, stats = sample_reads(StubNodes(lambda k: False), 5)
+    assert [s.timestamp_us for s in samples] == [c, c + 1, c + 2, c + 3, c + 4]
+    assert stats.samples_taken == 5
 
 
 # ── ReplayNodes ─────────────────────────────────────────────────────────
