@@ -15,32 +15,35 @@ with repr(), which round-trips exactly; the writer formats each run of
 equal values once per chunk of rows, because a recorded trace holds each
 node value for many polls.
 
-The body is parsed by np.loadtxt a chunk of lines at a time, and each
-chunk's columns are checked at once. From the first chunk this fast
-path cannot take, or whose columns break a rule, a row loop reads on:
-it parses what loadtxt cannot and words the ParseError, so both paths
-give the same columns, line numbers and messages. A chunk is held when
-the chunk before it seldom changed value, as in a recorded trace, and a
-held chunk is parsed at the cost of its distinct values: loadtxt reads
-its value cells as text, and each run of identical text is converted
-once with the row loop's float(). A file holding a NUL byte never takes
-the fast path, since the text cells drop trailing NULs, and a held chunk
-with a cell too wide for its text width is read again as floats.
+The row loop reads a body with csv, int() and float(), and checks each
+row as it reads it. parse_columns reads every body with it alone, into
+stdlib arrays, so it never imports numpy, whose import costs more than
+the loop spends on a small file. parse_trace and parse_value_trace
+import numpy and parse a regular file's body with np.loadtxt a chunk of
+lines at a time, checking each chunk's columns at once. From the first
+chunk this fast path cannot take, or whose columns break a rule, the row
+loop reads on: it parses what loadtxt cannot and words the ParseError,
+so every path gives the same columns, line numbers and messages. A chunk
+is held when the chunk before it seldom changed value, as in a recorded
+trace, and a held chunk is parsed at the cost of its distinct values:
+loadtxt reads its value cells as text, and each run of identical text is
+converted once with the row loop's float(). A file holding a NUL byte
+never takes the fast path, since the text cells drop trailing NULs, and
+a held chunk with a cell too wide for its text width is read again as
+floats.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
+import sys
 import warnings
 from array import array
 from itertools import chain, islice
 
-import numpy as np
-
 from .errors import InvalidReadingError, ParseError, undecodable
-from .traces import PowerTrace
+from .traces import PowerTrace, TraceColumns
 
 DEFAULT_COIL_TURNS = 10
 
@@ -52,6 +55,11 @@ _EXTERNAL = {("timestamp_us", "voltage_v", "current_a"):
              ("DC supply voltage must be >= 0, got {}", None), **_POWER}
 _VALUE = {**_POWER, ("timestamp_us", "current_ma"): (None,)}
 TRACE_FORMATS = {"internal_csv": _POWER, "external_csv": _EXTERNAL}
+# The header tables of parse_columns: parse_trace's internal_csv, and the
+# two headers of parse_value_trace.
+COLUMN_FORMATS = {"internal_csv": _POWER, "value_csv": _VALUE}
+
+_MAX = sys.float_info.max
 
 # Body lines handed to np.loadtxt at a time, and rows formatted per write:
 # few enough that a rejected file's row loop starts near its bad line and
@@ -81,6 +89,8 @@ def power_from_channels(timestamps_us, volts, clamp_a,
     reading divided by the turn count. Power is V * I in watts, scaled
     to mW. A product past the float range is an InvalidReadingError.
     """
+    import numpy as np
+
     if coil_turns < 1:
         raise ValueError(f"coil_turns must be >= 1, got {coil_turns}")
     with np.errstate(over="ignore"):
@@ -94,8 +104,11 @@ def power_from_channels(timestamps_us, volts, clamp_a,
     return PowerTrace(device, "external", "mW", timestamps_us, power_mw)
 
 
-def _row_error(row, prev: int | None, header, signs) -> str | None:
-    """Wording of the first fault of a row known to be bad, cell by cell."""
+def _row_error(row, prev: int, header, signs) -> str | None:
+    """Wording of the first fault of a row known to be bad, cell by cell.
+
+    `prev` is the timestamp of the row before, or -1 for none.
+    """
     if len(row) != len(header):
         return f"expected {len(header)} columns, got {len(row)}"
     try:
@@ -104,7 +117,7 @@ def _row_error(row, prev: int | None, header, signs) -> str | None:
         return f"timestamp {row[0]!r} is not an integer"
     if ts < 0:
         return f"timestamp {ts} is negative"
-    if prev is not None and ts <= prev:
+    if ts <= prev:
         kind = "duplicate" if ts == prev else "out-of-order"
         return f"{kind} timestamp {ts} (previous {prev})"
     if ts >= 2**63:
@@ -122,15 +135,16 @@ def _row_error(row, prev: int | None, header, signs) -> str | None:
     return None
 
 
-def _first_bad_row(t, values, signs, prev=None) -> int | None:
+def _first_bad_row(t, values, signs, prev) -> int | None:
     """Index of the first row that breaks the order, sign or finiteness rules.
 
-    `prev` is the timestamp of the row before t[0], if there is one.
+    `prev` is the timestamp of the row before t[0], or -1 for none.
     """
+    import numpy as np
+
     bad = t < 0
     bad[1:] |= t[1:] <= t[:-1]
-    if prev is not None:
-        bad[:1] |= t[:1] <= prev
+    bad[:1] |= t[:1] <= prev
     bad |= ~np.isfinite(values).all(axis=1)
     bad |= (values[:, [s is not None for s in signs]] < 0).any(axis=1)
     return int(np.argmax(bad)) if bad.any() else None
@@ -158,18 +172,21 @@ def _loadtxt_reads_as_rows(path) -> bool:
     return True
 
 
-def _read_columns(path, table):
-    """Header, int64 timestamps and an (n, k) float64 value matrix.
+def _read_columns(path, table, stdlib=False):
+    """Header, timestamps and values of the body, row after row.
 
     The header must be one of the header table's (see _POWER), which
     gives the sign rules of its value columns. The header is read with
-    csv. The body of a regular file whose bytes np.loadtxt reads as the
-    row loop does takes the fast path, _loadtxt_body; any other body, a
-    pipe's among them, goes to the row loop, _read_rows, whole.
+    csv. With `stdlib`, the row loop, _read_rows, reads the body whole,
+    and the columns are its array('q') timestamps and flat array('d')
+    values. Otherwise they are int64 timestamps and an (n, k) float64
+    value matrix: the body of a regular file whose bytes np.loadtxt reads
+    as the row loop does takes the fast path, _loadtxt_body, and any
+    other body, a pipe's among them, goes to the row loop whole.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            fast = fh.seekable() and _loadtxt_reads_as_rows(path)
+            fast = not stdlib and fh.seekable() and _loadtxt_reads_as_rows(path)
             reader = csv.reader(fh)
             try:
                 header = next(reader, None)
@@ -185,10 +202,20 @@ def _read_columns(path, table):
                 expected = " or ".join(",".join(h) for h in table)
                 raise ParseError(path, 1, f"expected header {expected}, "
                                           f"got {','.join(header)}")
-            read_body = _loadtxt_body if fast else _read_rows
-            return (header, *read_body(path, fh, header, signs, reader.line_num + 1))
+            line = reader.line_num + 1
+            if fast:
+                return (header, *_loadtxt_body(path, fh, header, signs, line))
+            columns = _read_rows(path, fh, header, signs, line)
+            return (header, *(columns if stdlib else _as_numpy(*columns, len(signs))))
     except OSError as exc:
         raise ParseError(path, None, f"cannot read: {exc}") from exc
+
+
+def _as_numpy(ts, flat, k):
+    """The row loop's columns as int64 timestamps and an (n, k) float64 matrix."""
+    import numpy as np
+
+    return np.frombuffer(ts, np.int64), np.frombuffer(flat, np.float64).reshape(len(ts), k)
 
 
 def _loadtxt_body(path, fh, header, signs, line):
@@ -209,8 +236,10 @@ def _loadtxt_body(path, fh, header, signs, line):
     held chunk with a cell that fills those bytes, which loadtxt may have
     cut, is read again as floats.
     """
+    import numpy as np
+
     k = len(header) - 1
-    parts, prev, held = [(np.empty(0, np.int64), np.empty((0, k)))], None, False
+    parts, prev, held = [(np.empty(0, np.int64), np.empty((0, k)))], -1, False
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         for lines in iter(lambda: list(islice(fh, _CHUNK_LINES)), []):
@@ -225,7 +254,8 @@ def _loadtxt_body(path, fh, header, signs, line):
             except ValueError:
                 rows = None
             if rows is None or _first_bad_row(rows["t"], values, signs, prev) is not None:
-                parts.append(_read_rows(path, chain(lines, fh), header, signs, line, prev))
+                rest = _read_rows(path, chain(lines, fh), header, signs, line, prev)
+                parts.append(_as_numpy(*rest, k))
                 break
             # A copy, so that a held chunk's wide rows are freed and their
             # memory serves the next chunk.
@@ -239,6 +269,8 @@ def _loadtxt_body(path, fh, header, signs, line):
 
 def _loadtxt(lines, k, cell):
     """A chunk's rows: an int64 timestamp "t" and k value cells "v" of dtype `cell`."""
+    import numpy as np
+
     # comments=None: the default "#" would take "2.5 # x", which float() rejects.
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
                       dtype=[("t", np.int64), ("v", cell, (k,))])
@@ -250,6 +282,8 @@ def _held_values(cells):
     Returns None if a cell fills the width and so may have been cut;
     float() raises ValueError on a cell it cannot read.
     """
+    import numpy as np
+
     n, k = cells.shape
     cells = np.ascontiguousarray(cells)
     # Cells are compared with the cell above 8 bytes at a time.
@@ -268,49 +302,54 @@ def _held_values(cells):
     return values
 
 
-def _read_rows(path, lines, header, signs, line, prev=None):
+def _read_rows(path, lines, header, signs, line, prev=-1):
     """The row loop: columns of the body lines from file line `line` on.
 
-    `prev` is the timestamp of the row before them, if any. Rows are
-    converted inline; the order, sign and finiteness checks then run
-    once over the columns, and the first bad line in file order is
-    raised as ParseError. Blank lines are skipped but still counted.
+    Returns array('q') timestamps and an array('d') of the values, row
+    after row. `prev` is the timestamp of the row before the lines, or -1
+    for none. Each row is checked as it is read: its timestamp must
+    exceed the one before and fit in int64, and its values must be
+    finite and, under a sign rule, >= 0. The first bad line raises
+    ParseError, worded from its cells by _row_error. Blank lines are
+    skipped but still counted.
     """
-    ts, flat = array("q"), array("d")   # timestamps; values row after row
-    blanks = []                         # data rows read before each blank line
-    failed = None                       # (line, message) that stopped the read
-    width, k = len(header), len(header) - 1
+    ts, flat = array("q"), array("d")
+    # The least value of each column: 0.0 under a sign rule, else the
+    # least finite float, so that a NaN or an infinity fails too. Every
+    # header table has one or two value columns, so the check is unrolled
+    # for two, with 0.0 in place of a missing second value: a loop over
+    # the columns made a three-column row cost a third more.
+    lows = [-_MAX if sign is None else 0.0 for sign in signs]
+    low, low2 = lows if len(lows) == 2 else (*lows, -_MAX)
+    width = len(header)
+    failed = None
     reader = csv.reader(lines)
     try:
         for lineno, row in enumerate(reader, start=line):
-            if not row:
-                blanks.append(len(ts))
-                continue
-            if len(row) == width:
-                try:
-                    ts.append(int(row[0]))
-                    flat.extend(map(float, row[1:]))
+            try:
+                t, value, *more = row
+                t, value = int(t), float(value)
+                second = float(more[0]) if more else 0.0
+                if len(row) == width and prev < t and low <= value <= _MAX and \
+                        low2 <= second <= _MAX:
+                    ts.append(t)        # OverflowError from 2**63 on
+                    flat.append(value)
+                    if more:
+                        flat.append(second)
+                    prev = t
                     continue
-                except (ValueError, OverflowError):
-                    del ts[len(flat) // k:]
-                    del flat[len(ts) * k:]
-            failed = (lineno, _row_error(row, ts[-1] if ts else prev, header, signs))
-            break
+            except (ValueError, OverflowError):
+                pass
+            if row:
+                failed = (lineno, _row_error(row, prev, header, signs))
+                break
     except UnicodeDecodeError as exc:
         failed = (None, undecodable(exc)[1])
     except csv.Error as exc:
         failed = (line - 1 + reader.line_num, f"malformed CSV: {exc}")
-
-    t = np.array(ts, dtype=np.int64)
-    values = np.array(flat, dtype=np.float64).reshape(len(t), k)
-    i = _first_bad_row(t, values, signs, prev)
-    if i is not None:
-        row = [str(t[i])] + [repr(v) for v in values[i].tolist()]
-        failed = (i + line + bisect.bisect_right(blanks, i),
-                  _row_error(row, int(t[i - 1]) if i else prev, header, signs))
     if failed is not None:
         raise ParseError(path, *failed)
-    return t, values
+    return ts, flat
 
 
 def parse_trace(path, fmt: str, device: str = "unknown",
@@ -334,8 +373,26 @@ def parse_value_trace(path, device: str = "unknown") -> PowerTrace:
     (a mA trace, e.g. a boot-current capture).
     """
     header, ts, values = _read_columns(path, _VALUE)
-    source, unit = ("internal", "mW") if header in _POWER else ("external", "mA")
-    return PowerTrace(device, source, unit, ts, values[:, 0])
+    return PowerTrace(device, *_value_kind(header), ts, values[:, 0])
+
+
+def _value_kind(header) -> tuple[str, str]:
+    """The source and unit of a parse_value_trace header."""
+    return ("internal", "mW") if header in _POWER else ("external", "mA")
+
+
+def parse_columns(path, fmt: str) -> TraceColumns:
+    """The unit and stdlib-array columns of a two-column trace file.
+
+    Reads what parse_trace(path, "internal_csv") reads for "internal_csv"
+    and what parse_value_trace reads for "value_csv", with the same checks
+    and ParseErrors, through the row loop alone and without numpy, which
+    costs more to import than the loop spends on a small file.
+    """
+    if fmt not in COLUMN_FORMATS:
+        raise ValueError(f"format must be one of {tuple(COLUMN_FORMATS)}, got {fmt!r}")
+    header, ts, values = _read_columns(path, COLUMN_FORMATS[fmt], stdlib=True)
+    return TraceColumns(_value_kind(header)[1], ts, values)
 
 
 def write_trace(trace: PowerTrace, path) -> None:
@@ -347,6 +404,8 @@ def write_trace(trace: PowerTrace, path) -> None:
     re-reads one node value for many rows. Values are told apart by their
     bits, so 0.0 and -0.0 keep their own repr.
     """
+    import numpy as np
+
     column = "power_mw" if trace.unit == "mW" else "current_ma"
     ts, values = trace.timestamps_us, trace.values
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -10,18 +10,24 @@ Calibrated values are never clamped: a reading can legitimately grow by
 more than 50% under calibration, and a fitted model with a negative
 intercept may map tiny readings below zero. Such values are kept, and
 the `apply` command reports them with a warning flag.
+
+numpy is imported only by the functions on a PowerTrace. apply_columns
+and integrate_energy_columns are their stdlib twins on the TraceColumns
+of a small file: the same float operations in the same order, so the
+same values and reports bit for bit, and the same errors. Both energy
+integrals sum their trapezoid areas with math.fsum.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import pairwise
 
 from .errors import (InsufficientDataError, InvalidReadingError, ParseError,
                      UnknownDeviceError, undecodable)
-from .traces import PowerTrace, canonical_device_id
+from .traces import PowerTrace, TraceColumns, canonical_device_id
 
 PROVENANCES = ("builtin", "fitted")
 
@@ -106,41 +112,111 @@ def apply_trace(model: CalibrationModel, trace: PowerTrace) -> PowerTrace:
     mapped past the float range raises InvalidReadingError, naming the
     first.
     """
+    import numpy as np
+
     raw = trace.values
     bad = raw < 0
     ts = trace.timestamps_us
     if bad.any():
         i = int(np.argmax(bad))
-        raise InvalidReadingError(f"invalid reading {raw[i]} at t={int(ts[i])} us")
+        raise _invalid_reading(float(raw[i]), int(ts[i]))
     with np.errstate(over="ignore"):
         calibrated = model.slope * raw + model.intercept_mw
     infinite = ~np.isfinite(calibrated)
     if infinite.any():
         i = int(np.argmax(infinite))
-        raise InvalidReadingError(f"calibrated reading is not finite: {float(raw[i])!r} "
-                                  f"mW at t={int(ts[i])} us maps to {float(calibrated[i])!r}")
+        raise _unbounded_calibration(float(raw[i]), int(ts[i]), float(calibrated[i]))
     return PowerTrace(trace.device, "calibrated", "mW", ts, calibrated)
+
+
+def apply_columns(model: CalibrationModel, trace: TraceColumns) -> TraceColumns:
+    """apply_trace of a trace's stdlib columns, without numpy.
+
+    Maps each value with the same float operations, so the values come
+    out bit for bit as apply_trace's, and raises the same errors.
+    """
+    raw, ts = trace.values, trace.timestamps_us
+    if raw and min(raw) < 0:
+        i = next(i for i, v in enumerate(raw) if v < 0)
+        raise _invalid_reading(raw[i], ts[i])
+    slope, intercept = model.slope, model.intercept_mw
+    # A non-negative reading maps to a finite value or to +inf.
+    calibrated = array("d", [slope * v + intercept for v in raw])
+    if math.inf in calibrated:
+        i = calibrated.index(math.inf)
+        raise _unbounded_calibration(raw[i], ts[i], calibrated[i])
+    return TraceColumns("mW", ts, calibrated)
+
+
+def _invalid_reading(value: float, t: int) -> InvalidReadingError:
+    return InvalidReadingError(f"invalid reading {value} at t={t} us")
+
+
+def _unbounded_calibration(raw: float, t: int, calibrated: float) -> InvalidReadingError:
+    return InvalidReadingError(f"calibrated reading is not finite: {raw!r} "
+                               f"mW at t={t} us maps to {calibrated!r}")
 
 
 def integrate_energy(trace: PowerTrace) -> EnergyReport:
     """Trapezoidal energy integral of a power trace, in millijoules.
 
-    mW times us is nJ, hence the 1e6 reconciliation to mJ. Requires at
-    least two samples, and raises InvalidReadingError when the integral
-    is below zero. An integral past the float range comes back inf (or
-    nan), without a warning; the caller decides what to do with it.
+    Each interval's area is (t1 - t0) * (v1 + v0) / 2.0 in mW times us,
+    which is nJ, and the areas are summed exactly rounded, by math.fsum,
+    then reconciled to mJ by the 1e6. Requires at least two samples, and
+    raises InvalidReadingError when the integral is below zero. An
+    integral past the float range comes back inf (or nan where areas of
+    inf and -inf meet), without a warning; the caller decides what to do
+    with it.
     """
-    if len(trace) < 2:
-        raise InsufficientDataError(
-            f"energy integration needs >= 2 samples, got {len(trace)}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        energy_mj = float(np.trapezoid(trace.values, trace.timestamps_us)) / 1e6
+    import numpy as np
+
+    _require_two(len(trace))
+    ts, values = trace.timestamps_us, trace.values
+    with np.errstate(over="ignore"):
+        areas = np.diff(ts) * (values[1:] + values[:-1]) / 2.0
+    return _energy_report(memoryview(areas), trace.span_us)
+
+
+def integrate_energy_columns(trace: TraceColumns) -> EnergyReport:
+    """integrate_energy of a trace's stdlib columns, without numpy.
+
+    The areas are the same float operations on the same values, so the
+    report is integrate_energy's, bit for bit.
+    """
+    ts, values = trace.timestamps_us, trace.values
+    _require_two(len(ts))
+    areas = [(t1 - t0) * (v1 + v0) / 2.0
+             for (t0, v0), (t1, v1) in pairwise(zip(ts, values))]
+    return _energy_report(areas, ts[-1] - ts[0])
+
+
+def _require_two(n: int) -> None:
+    if n < 2:
+        raise InsufficientDataError(f"energy integration needs >= 2 samples, got {n}")
+
+
+def _energy_report(areas, duration_us: int) -> EnergyReport:
+    """The report of trapezoid areas in nJ (mW times us)."""
+    energy_mj = _fsum(areas) / 1e6
     if energy_mj < 0:
         raise InvalidReadingError(f"energy over the trace is negative: {energy_mj!r} mJ")
-    duration_us = trace.span_us
-    mean_power_mw = energy_mj * 1e6 / duration_us
-    return EnergyReport(energy_mj, duration_us, mean_power_mw)
+    return EnergyReport(energy_mj, duration_us, energy_mj * 1e6 / duration_us)
+
+
+def _fsum(areas) -> float:
+    """math.fsum of the areas; nan where areas of inf and -inf meet.
+
+    Where partial sums of finite areas pass the float range, fsum raises
+    OverflowError; the areas are then summed at 2**-64 scale, where they
+    cannot overflow, and the sum scaled back: to inf or -inf, or to the
+    total where that is in range.
+    """
+    try:
+        return math.fsum(areas)
+    except OverflowError:
+        return _fsum([a * 2.0**-64 for a in areas]) * 2.0**64
+    except ValueError:
+        return math.nan
 
 
 # Model file format, one record per line:

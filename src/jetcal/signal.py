@@ -4,24 +4,27 @@ The moving average uses a causal (trailing) window: the window at output
 time t covers timestamps in (t - window_us, t]; samples earlier than one
 full window after the trace start are dropped rather than averaged over a
 partial window, because partial windows have inflated variance.
+
+numpy is imported only by the functions on a PowerTrace.
+detect_peak_columns is detect_peak's stdlib twin on the TraceColumns of
+a small file: the same report, bit for bit, and the same errors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import pairwise
 
 from .errors import (BaselineUndefinedError, EmptyOverlapError,
                      InsufficientDataError, InvalidReadingError, UnitError)
-from .traces import PairedDataset, PowerTrace
+from .traces import PairedDataset, PowerTrace, TraceColumns
 
 DEFAULT_WINDOW_US = 100_000
 DEFAULT_MAX_GAP_US = 10_000
 
 
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _two_sum(a, b):
     """Knuth's TwoSum, elementwise: s = fl(a + b) and err with s + err == a + b."""
     s = a + b
     b_virtual = s - a
@@ -46,6 +49,8 @@ def moving_average(trace: PowerTrace, window_us: int = DEFAULT_WINDOW_US) -> Pow
     finite window mean comes out; a mean that is not finite still raises
     InvalidReadingError, naming its timestamp.
     """
+    import numpy as np
+
     if len(trace) == 0:
         raise InsufficientDataError("cannot filter an empty trace")
     window_us = int(window_us)
@@ -98,6 +103,8 @@ def align(internal: PowerTrace, external: PowerTrace,
     finite (two huge knots of opposite sign), raises InvalidReadingError,
     naming the first such pair's stream, value and timestamp.
     """
+    import numpy as np
+
     if len(internal) == 0 or len(external) == 0:
         raise EmptyOverlapError("both traces must be non-empty")
     if internal.unit != "mW" or external.unit != "mW":
@@ -162,42 +169,73 @@ def detect_peak(trace: PowerTrace, threshold: float) -> PeakReport:
     is robust against the tail of a boot transient. Duration above the
     threshold is summed per sample as the forward gap to the next sample;
     a final sample above the threshold contributes nothing because no
-    spacing follows it.
+    spacing follows it. The median is taken by np.partition, without the
+    numpy.ma import of np.median's NaN check.
     """
-    if len(trace) == 0:
-        raise InsufficientDataError("cannot detect a peak in an empty trace")
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
+    import numpy as np
+
+    _check_peak_inputs(len(trace), threshold)
     vals = trace.values
     ts = trace.timestamps_us
-    peak_idx = int(np.argmax(vals))
     below = vals < threshold
     if not below.any():
-        raise BaselineUndefinedError(
-            f"every sample is at or above threshold {threshold}"
-        )
-    above = vals >= threshold
-    duration = int(np.diff(ts)[above[:-1]].sum()) if len(ts) > 1 else 0
+        raise _no_baseline(threshold)
+    peak_idx = int(np.argmax(vals))
+    duration = int(np.diff(ts)[~below[:-1]].sum()) if len(ts) > 1 else 0
+    n = int(below.sum())
     return PeakReport(
         peak_value=float(vals[peak_idx]),
         peak_timestamp_us=int(ts[peak_idx]),
-        baseline=_median(vals[below]),
+        baseline=_median(np.partition(vals[below], [(n - 1) // 2, n // 2])),
         duration_above_threshold_us=duration,
         threshold=float(threshold),
     )
 
 
-def _median(values: np.ndarray) -> float:
-    """float(np.median(values)) of finite values, by np.median's own
-    partition and mean, without the numpy.ma import of its NaN check.
+def detect_peak_columns(trace: TraceColumns, threshold: float) -> PeakReport:
+    """detect_peak of a trace's stdlib columns, without numpy: the same
+    report, bit for bit, and the same errors."""
+    _check_peak_inputs(len(trace.values), threshold)
+    vals, ts = trace.values, trace.timestamps_us
+    below = sorted(v for v in vals if v < threshold)
+    if not below:
+        raise _no_baseline(threshold)
+    peak_idx = vals.index(max(vals))
+    return PeakReport(
+        peak_value=vals[peak_idx],
+        peak_timestamp_us=ts[peak_idx],
+        baseline=_median(below),
+        duration_above_threshold_us=sum(t1 - t0 for (t0, t1), v in zip(pairwise(ts), vals)
+                                        if v >= threshold),
+        threshold=float(threshold),
+    )
 
-    Where the two middle values sum past the float range, their halves
-    are summed instead: halving is exact at that magnitude, so the mean
-    is still correctly rounded.
+
+def _check_peak_inputs(n: int, threshold: float) -> None:
+    if n == 0:
+        raise InsufficientDataError("cannot detect a peak in an empty trace")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+
+
+def _no_baseline(threshold: float) -> BaselineUndefinedError:
+    return BaselineUndefinedError(f"every sample is at or above threshold {threshold}")
+
+
+def _median(ordered) -> float:
+    """The median of finite values whose middle indices, (n - 1) // 2 and
+    n // 2, hold what a sort would put there, as np.median gives it.
+
+    That is np.mean of the two middle values: (lo + hi) / 2, and 0.0
+    where both are zeros, since np.mean sums from 0.0; so the signed zeros
+    that a sort or a partition happens to put in the middle do not show.
+    Where the two sum past the float range, their halves are summed
+    instead: halving is exact at that magnitude, so the mean is still
+    correctly rounded.
     """
-    mid = len(values) // 2
-    kth = [mid - 1, mid, -1] if len(values) % 2 == 0 else [mid, -1]
-    middle = np.partition(values, kth)[kth[0]:mid + 1]
-    with np.errstate(over="ignore"):
-        median = float(middle.mean())
-    return median if math.isfinite(median) else float(middle[0] / 2 + middle[-1] / 2)
+    n = len(ordered)
+    lo, hi = float(ordered[(n - 1) // 2]), float(ordered[n // 2])
+    if lo == hi == 0.0:
+        return 0.0
+    median = (lo + hi) / 2
+    return median if math.isfinite(median) else lo / 2 + hi / 2

@@ -7,9 +7,11 @@ Values are float64 in the trace's unit (mW or mA).
 PowerTrace stores samples as two parallel read-only numpy arrays and is
 safe to share across threads. PowerSample is one reading, as the live
 sampler delivers it; it is not validated, because the sampler checks each
-read and PowerTrace checks the columns it is built from. numpy is
-imported only when a PowerTrace is built, so code that builds none, such
-as the live sampler, runs without loading it.
+read and PowerTrace checks the columns it is built from. TraceColumns is
+a trace as stdlib arrays, for the numpy-free path of small files; it is
+not validated either, because the parser that builds it checks each row.
+numpy is imported only when a PowerTrace is built, so code that builds
+none, such as the live sampler, runs without loading it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
+    from array import array
+
     import numpy as np
 
 SOURCES = ("internal", "external", "calibrated")
@@ -29,6 +33,19 @@ class PowerSample(NamedTuple):
 
     timestamp_us: int
     value: float
+
+
+class TraceColumns(NamedTuple):
+    """A trace's unit and its columns as array('q') and array('d').
+
+    ingest.parse_columns builds it from rows it has checked, so the
+    timestamps strictly increase and the values are finite; the stdlib
+    twins of apply_trace, integrate_energy and detect_peak take it.
+    """
+
+    unit: str
+    timestamps_us: array
+    values: array
 
 
 @dataclass(frozen=True, eq=False)

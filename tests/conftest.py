@@ -8,6 +8,7 @@ trapezoid loop, a written trace via one f-string per row.
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager
 from fractions import Fraction
 from math import fsum
@@ -15,7 +16,7 @@ from math import fsum
 import numpy as np
 import pytest
 
-from jetcal.traces import PowerTrace
+from jetcal.traces import PowerTrace, TraceColumns
 
 
 @pytest.fixture
@@ -27,6 +28,12 @@ def make_trace(ts, values, device="nano", source="internal", unit="mW"):
     return PowerTrace(device, source, unit,
                       np.asarray(ts, dtype=np.int64),
                       np.asarray(values, dtype=np.float64))
+
+
+def columns_of(trace: PowerTrace) -> TraceColumns:
+    """The trace's columns as the stdlib arrays ingest.parse_columns returns."""
+    return TraceColumns(trace.unit, array("q", trace.timestamps_us.tolist()),
+                        array("d", trace.values.tolist()))
 
 
 def oracle_window_mean(ts, values, t, window_us):

@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jetcal import cli, ingest, regression, sensor, synth
 from jetcal import signal as sig
-from jetcal.models import BOOT_PEAK_CURRENT_MA, get_model, save_models
+from jetcal.models import (BOOT_PEAK_CURRENT_MA, get_model, integrate_energy,
+                           save_models)
 from jetcal.traces import PowerTrace
 
 from conftest import oracle_trace_csv
@@ -513,6 +514,29 @@ def test_a_number_past_the_float_range_exits_data(capsys, tmp_path, argv, rows, 
     assert_one_error_line(err, message)
 
 
+# SMALL_INPUT_BYTES that send every input to one path of energy and peak.
+PATHS = {"numpy": 0, "stdlib": 2**62}
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("gap_us, values, message", [
+    # 1000 * (1e305 + 1e305) passes the float range, so each area is inf.
+    (1000, [1e305] * 3, "energy_mj is not finite: inf"),
+    (1000, [-1e305] * 3, "energy over the trace is negative: -inf mJ"),
+    # Each area is a finite 6e307, and their sum passes the float range.
+    (1, [6e307] * 5, "energy_mj is not finite: inf"),
+    (1, [-6e307] * 5, "energy over the trace is negative: -inf mJ"),
+    (1000, [1.7e308, 1.7e308, -1.7e308, -1.7e308], "energy_mj is not finite: nan"),
+], ids=["inf-areas", "minus-inf-areas", "finite-areas-past-the-range", "negated",
+        "inf-and-minus-inf-areas"])
+def test_energy_past_the_float_range_exits_data_on_both_paths(capsys, monkeypatch, tmp_path,
+                                                              path, gap_us, values, message):
+    monkeypatch.setattr(cli, "SMALL_INPUT_BYTES", PATHS[path])
+    csv = rows_csv(tmp_path / "big.csv", [(gap_us * i, v) for i, v in enumerate(values)])
+    rc, out, err = run(capsys, "energy", csv, "--json")
+    assert (rc, out, err) == (cli.EXIT_DATA, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["calibrate", "validate"])
 def test_a_volts_times_amps_past_the_float_range_exits_data(capsys, tmp_path, command):
     internal = power_csv(tmp_path / "internal.csv", 1000.0 + np.arange(4.0))
@@ -598,6 +622,56 @@ def test_every_run_prints_strict_json_or_one_error_line(capsys, tmp_path, values
         else:
             assert (rc, out) == (cli.EXIT_DATA, ""), argv
             assert_one_error_line(err, "")
+
+
+# Signed zeros, the least subnormals and readings at the edge of the float
+# range, as well as EDGE_VALUES.
+PATH_VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7e308,
+                                -1.7e308, sys.float_info.max])
+               | EDGE_VALUES)
+
+
+@st.composite
+def held_traces(draw):
+    """Timestamps, values in held runs, and a threshold that is often one of them."""
+    runs = draw(st.lists(st.tuples(PATH_VALUES, st.integers(1, 4)), min_size=1, max_size=6))
+    values = [v for v, n in runs for _ in range(n)]
+    t0 = draw(st.sampled_from([0, 1_700_000_000_000_000]) | st.integers(0, 2**62))
+    gaps = draw(st.lists(st.integers(1, 10**9), min_size=len(values), max_size=len(values)))
+    ts = [t0 + sum(gaps[:i]) for i in range(len(values))]
+    threshold = draw(st.sampled_from(values) | PATH_VALUES)
+    return ts, values, threshold
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trace=held_traces(), column=st.sampled_from(["power_mw", "current_ma"]),
+       as_json=st.booleans())
+@example(trace=([0, 1, 2, 3], [-0.0, 0.0, 5.0, -0.0], 5.0), column="current_ma", as_json=True)
+@example(trace=([0, 1, 2, 3], [0.0, -0.0, 5.0, 5.0], 5.0), column="current_ma", as_json=False)
+@example(trace=([10**15, 10**15 + 7], [1.7e308, 1.7e308], 1.7e308), column="power_mw",
+         as_json=True)
+def test_energy_and_peak_print_alike_on_both_paths(capsys, tmp_path, trace, column, as_json):
+    ts, values, threshold = trace
+    power = rows_csv(tmp_path / "power.csv", zip(ts, values))
+    boot = rows_csv(tmp_path / "boot.csv", zip(ts, values), column)
+    model = tmp_path / "neg.model"
+    model.write_text("device=nano slope=1.5 intercept_mw=-500.0 error_pct=1.0 "
+                     "provenance=fitted\n")
+    as_json = ["--json"] if as_json else []
+    for argv in [("energy", power), ("energy", power, "--device", "nano"),
+                 ("energy", power, "--model", model),
+                 ("peak", boot, f"--threshold={threshold!r}")]:
+        printed = []
+        for limit in PATHS.values():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "SMALL_INPUT_BYTES", limit)
+                printed.append(run(capsys, *argv, *as_json))
+        assert printed[0] == printed[1], argv
+    rc, out, _ = run(capsys, "energy", power, "--json")
+    if rc == cli.EXIT_OK:
+        expected = integrate_energy(ingest.parse_trace(power, "internal_csv")).energy_mj
+        assert repr(json.loads(out)["energy_mj"]) == repr(expected)
 
 
 def test_human_output_keeps_the_key_order(capsys, files, tmp_path):
@@ -828,15 +902,22 @@ def test_record_help_names_the_profile_search_variable(capsys):
     assert f"${sensor.PROFILE_PATH_ENV})" in capsys.readouterr().out
 
 
-def loaded_modules(code):
-    """The names in sys.modules of a fresh interpreter after it runs code."""
+def run_fresh(code):
+    """What a fresh interpreter prints when it runs code, and the names in
+    its sys.modules afterwards."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
-    return set(done.stdout.splitlines()[-1].split())
+    *printed, modules = done.stdout.splitlines()
+    return printed, set(modules.split())
+
+
+def loaded_modules(code):
+    """The names in sys.modules of a fresh interpreter after it runs code."""
+    return run_fresh(code)[1]
 
 
 def test_building_the_parser_loads_no_numpy_and_no_pipeline_module():
@@ -845,23 +926,35 @@ def test_building_the_parser_loads_no_numpy_and_no_pipeline_module():
     assert {m for m in loaded if m.startswith("jetcal.")} == {"jetcal.cli", "jetcal.errors"}
 
 
+def run_fresh_cli(argv, limit=None):
+    """run_fresh of cli.main(argv), with SMALL_INPUT_BYTES set to limit if given."""
+    patch = "" if limit is None else f"jetcal.cli.SMALL_INPUT_BYTES = {limit}; "
+    return run_fresh(f"import jetcal.cli; {patch}assert jetcal.cli.main({argv!r}) == 0")
+
+
 def test_energy_loads_only_what_it_runs(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("timestamp_us,power_mw\n0,1000.0\n1000,2000.0\n")
-    loaded = loaded_modules(
-        f"import jetcal.cli; assert jetcal.cli.main(['energy', {str(path)!r}]) == 0")
-    assert "jetcal.ingest" in loaded
-    assert not {"jetcal.regression", "jetcal.signal", "jetcal.sensor",
-                "subprocess"} & loaded
+    for argv in (["energy", str(path), "--json"], ["energy", str(path), "--device", "nano"]):
+        printed, loaded = run_fresh_cli(argv)
+        assert "jetcal.ingest" in loaded
+        assert not {"numpy", "jetcal.regression", "jetcal.signal", "jetcal.sensor",
+                    "subprocess"} & loaded
+        # Past the size limit, energy loads numpy and prints the same lines.
+        numpy_printed, numpy_loaded = run_fresh_cli(argv, limit=0)
+        assert "numpy" in numpy_loaded
+        assert numpy_printed == printed
 
 
 def test_peak_loads_only_what_it_runs(files):
-    loaded = loaded_modules(
-        f"import jetcal.cli; assert jetcal.cli.main(['peak', {str(files / 'boot.csv')!r}, "
-        f"'--threshold', '800']) == 0")
+    argv = ["peak", str(files / "boot.csv"), "--threshold", "800", "--json"]
+    printed, loaded = run_fresh_cli(argv)
     assert {"jetcal.ingest", "jetcal.signal"} <= loaded
-    assert not {"numpy.ma", "jetcal.regression", "jetcal.models", "jetcal.sensor",
+    assert not {"numpy", "jetcal.regression", "jetcal.models", "jetcal.sensor",
                 "subprocess"} & loaded
+    numpy_printed, numpy_loaded = run_fresh_cli(argv, limit=0)
+    assert "numpy" in numpy_loaded and "numpy.ma" not in numpy_loaded
+    assert numpy_printed == printed
 
 
 def test_record_loads_only_what_it_runs(tmp_path):

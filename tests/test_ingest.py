@@ -338,17 +338,25 @@ def _refuse(*args, **kwargs):
     raise ValueError("fast path refused")
 
 
-def read_columns(path, fmt, force_row_loop=False, chunk_lines=None):
-    """(header, t, values), or (line, message) of the ParseError."""
+def read_columns(path, fmt, force_row_loop=False, chunk_lines=None, stdlib=False):
+    """(header, t, values), or (line, message) of the ParseError.
+
+    With stdlib, the columns are read as parse_columns reads them, and
+    given back as numpy arrays.
+    """
     with pytest.MonkeyPatch.context() as mp:
         if force_row_loop:
-            mp.setattr(ingest.np, "loadtxt", _refuse)
+            mp.setattr(np, "loadtxt", _refuse)
         if chunk_lines:
             mp.setattr(ingest, "_CHUNK_LINES", chunk_lines)
         try:
-            return ingest._read_columns(path, READERS[fmt])
+            header, t, values = ingest._read_columns(path, READERS[fmt], stdlib=stdlib)
         except ParseError as exc:
             return exc.line, str(exc)
+    if stdlib:
+        assert (t.typecode, values.typecode) == ("q", "d")
+        t, values = np.array(t), np.array(values).reshape(len(t), len(header) - 1)
+    return header, t, values
 
 
 def _underscore(cell):
@@ -411,17 +419,18 @@ def test_fast_path_matches_row_loop(tmp_path_factory, fmt, n, data):
 
     # Chunks of a few lines make the row loop take over mid-file.
     chunk_lines = data.draw(st.sampled_from([1, 2, 3, ingest._CHUNK_LINES]))
-    fast = read_columns(path, fmt, chunk_lines=chunk_lines)
     rows_only = read_columns(path, fmt, force_row_loop=True)
-    assert len(fast) == len(rows_only)
-    if len(fast) == 2:
-        assert fast == rows_only
-    else:
-        assert fast[0] == rows_only[0]
-        assert (fast[1].dtype, fast[2].dtype) == (np.int64, np.float64)
-        assert np.array_equal(fast[1], rows_only[1])
-        # Bits, not values: 0.0 == -0.0.
-        assert np.array_equal(fast[2].view(np.int64), rows_only[2].view(np.int64))
+    for got in (read_columns(path, fmt, chunk_lines=chunk_lines),
+                read_columns(path, fmt, stdlib=True)):
+        assert len(got) == len(rows_only)
+        if len(got) == 2:
+            assert got == rows_only
+        else:
+            assert got[0] == rows_only[0]
+            assert (got[1].dtype, got[2].dtype) == (np.int64, np.float64)
+            assert np.array_equal(got[1], rows_only[1])
+            # Bits, not values: 0.0 == -0.0.
+            assert np.array_equal(got[2].view(np.int64), rows_only[2].view(np.int64))
 
 
 def _no_row_loop(*args):
@@ -463,7 +472,7 @@ def test_held_chunks_are_read_as_text(tmp_path, monkeypatch, values, cells, dtyp
     expected = read_columns(path, "internal", force_row_loop=True)
     seen = []
     loadtxt = np.loadtxt
-    monkeypatch.setattr(ingest.np, "loadtxt", lambda lines, **kwargs: seen.append(
+    monkeypatch.setattr(np, "loadtxt", lambda lines, **kwargs: seen.append(
         np.dtype(kwargs["dtype"])["v"].base) or loadtxt(lines, **kwargs))
     got = read_columns(path, "internal", chunk_lines=64)
     assert seen == dtypes
@@ -474,6 +483,25 @@ def test_held_chunks_are_read_as_text(tmp_path, monkeypatch, values, cells, dtyp
         assert got[0] == expected[0] and np.array_equal(got[1], expected[1])
         assert np.array_equal(got[2].view(np.int64), expected[2].view(np.int64))
         assert got[2][:, 0].tolist() == values.tolist()
+
+
+@pytest.mark.parametrize("fmt", ["internal", "current"])
+def test_parse_columns_reads_what_the_trace_parsers_read(tmp_path, fmt):
+    path = tmp_path / "t.csv"
+    corrupted_file(path, fmt, {}, n=9, blank_after=(2,))
+    trace = FORMATS[fmt][1](path)
+    columns = ingest.parse_columns(path, "internal_csv" if fmt == "internal" else "value_csv")
+    assert columns.unit == trace.unit
+    assert columns.timestamps_us.tolist() == trace.timestamps_us.tolist()
+    assert columns.values.tolist() == trace.values.tolist()
+
+
+def test_parse_columns_refuses_what_its_format_does_not_hold(tmp_path):
+    path = write_csv(tmp_path / "t.csv", "timestamp_us,current_ma", [(0, 1.5)])
+    with pytest.raises(ParseError, match="expected header timestamp_us,power_mw, got"):
+        ingest.parse_columns(path, "internal_csv")
+    with pytest.raises(ValueError, match="format must be one of"):
+        ingest.parse_columns(path, "external_csv")
 
 
 def test_row_loop_takes_over_at_the_chunk_of_the_bad_line(tmp_path, monkeypatch):

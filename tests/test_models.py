@@ -4,17 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from jetcal.errors import (InsufficientDataError, InvalidReadingError,
                            ParseError, UnknownDeviceError)
 from jetcal.models import (BOOT_PEAK_CURRENT_MA, BUILTIN_MODELS, CalibrationModel,
-                           apply_trace, get_model,
-                           integrate_energy, invert_model, load_models,
-                           parse_model_line, save_models)
+                           apply_columns, apply_trace, get_model,
+                           integrate_energy, integrate_energy_columns, invert_model,
+                           load_models, parse_model_line, save_models)
 
-from conftest import make_trace, oracle_trapezoid_mj
+from conftest import columns_of, make_trace, oracle_trapezoid_mj
 
 NANO = BUILTIN_MODELS["nano"]
 TX2 = BUILTIN_MODELS["tx2"]
@@ -271,3 +271,40 @@ def test_empty_model_file_rejected(tmp_path):
     path.write_text("# nothing here\n")
     with pytest.raises(ParseError):
         load_models(path)
+
+
+# ── the stdlib twins ────────────────────────────────────────────────────
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the DataError it raised."""
+    try:
+        return fn(*args)
+    except (InsufficientDataError, InvalidReadingError) as exc:
+        return type(exc), str(exc)
+
+
+# Signed zeros, subnormals, and readings whose sums and areas pass the
+# float range.
+TWIN_VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e305, -1e305, 1.7e308,
+                                -1.7e308])
+               | st.floats(-1e6, 1e6) | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(values=st.lists(TWIN_VALUES, max_size=8),
+       gaps=st.lists(st.integers(1, 10**12), min_size=8, max_size=8),
+       t0=st.integers(0, 2**62), intercept=st.sampled_from([232.6, -500.0, 1e308]))
+@example(values=[6e307] * 5, gaps=[1] * 8, t0=0, intercept=232.6)
+@example(values=[-6e307] * 5, gaps=[1] * 8, t0=0, intercept=232.6)
+@example(values=[1.7e308, 1.7e308, -1.7e308, -1.7e308], gaps=[1000] * 8, t0=0,
+         intercept=232.6)
+def test_column_twins_match_apply_and_energy_bit_for_bit(values, gaps, t0, intercept):
+    ts = [t0 + sum(gaps[:i]) for i in range(len(values))]
+    trace = make_trace(ts, values)
+    model = CalibrationModel("nano", 1.5, intercept, 1.0)
+    want = outcome(apply_trace, model, trace)
+    if not isinstance(want, tuple):
+        want = columns_of(want)
+    # repr, so that the bits count: -0.0 == 0.0.
+    assert repr(outcome(apply_columns, model, columns_of(trace))) == repr(want)
+    assert repr(outcome(integrate_energy_columns, columns_of(trace))) == \
+        repr(outcome(integrate_energy, trace))

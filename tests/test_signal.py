@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from jetcal.errors import (BaselineUndefinedError, EmptyOverlapError,
                            InsufficientDataError, InvalidReadingError, UnitError)
-from jetcal.signal import align, detect_peak, moving_average
+from jetcal.signal import align, detect_peak, detect_peak_columns, moving_average
 
-from conftest import TRICKY, make_trace, oracle_window_mean
+from conftest import TRICKY, columns_of, make_trace, oracle_window_mean
 
 
 # ── moving average ──────────────────────────────────────────────────────
@@ -315,8 +315,10 @@ BELOW_MAX = float(np.nextafter(FLOAT_MAX, 0.0))
 def test_baseline_is_the_median_of_the_samples_below(vals):
     # Every value is below the largest float, so every value is baseline.
     # The oracle is the exact mean of the two middle values, rounded once;
-    # where np.median is finite it must match it bit for bit, zero signs too.
-    baseline = detect_peak(make_trace(range(len(vals)), vals, unit="mA"), FLOAT_MAX).baseline
+    # where np.median is finite it must match it bit for bit, zero signs too,
+    # and so must the stdlib twin.
+    trace = make_trace(range(len(vals)), vals, unit="mA")
+    baseline = detect_peak(trace, FLOAT_MAX).baseline
     ordered = sorted(vals)
     a, b = ordered[(len(vals) - 1) // 2], ordered[len(vals) // 2]
     assert baseline == float((Fraction(a) + Fraction(b)) / 2)
@@ -324,6 +326,26 @@ def test_baseline_is_the_median_of_the_samples_below(vals):
         median = float(np.median(vals))
     if isfinite(median):
         assert repr(baseline) == repr(median)
+    assert repr(detect_peak_columns(columns_of(trace), FLOAT_MAX).baseline) == repr(baseline)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vals=st.lists(st.sampled_from(TRICKY + [BELOW_MAX, -FLOAT_MAX, 1e308])
+                     | st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                     max_size=12),
+       gaps=st.lists(st.integers(1, 10**12), min_size=12, max_size=12),
+       t0=st.integers(0, 2**62), data=st.data())
+def test_peak_twin_reports_what_detect_peak_reports(vals, gaps, t0, data):
+    threshold = data.draw(st.sampled_from(vals) | st.floats(allow_nan=False,
+                                                            allow_infinity=False))
+    trace = make_trace([t0 + sum(gaps[:i]) for i in range(len(vals))], vals, unit="mA")
+    reports = []
+    for detect, arg in [(detect_peak, trace), (detect_peak_columns, columns_of(trace))]:
+        try:
+            reports.append(repr(detect(arg, threshold)))
+        except BaselineUndefinedError as exc:
+            reports.append(str(exc))
+    assert reports[0] == reports[1]
 
 
 def test_all_samples_above_threshold_raises():
