@@ -81,8 +81,9 @@ def _emit(result: dict, as_json: bool) -> None:
 
 
 def _require_inputs(*paths) -> None:
+    """Refuse a missing path or a directory; a pipe is an input like a file."""
     for p in paths:
-        if p is not None and not Path(p).is_file():
+        if p is not None and (Path(p).is_dir() or not Path(p).exists()):
             raise ConfigError(f"input file not found: {p}")
 
 

@@ -98,7 +98,10 @@ class SamplerStats:
 
 
 class FileNodes:
-    """Reads sensor values from real filesystem nodes."""
+    """Reads sensor values from real filesystem nodes, opening one per read.
+
+    A node that cannot be read or holds no number raises SensorReadError.
+    """
 
     def __init__(self, paths: Iterable[str]):
         self.paths = tuple(paths)
@@ -110,15 +113,9 @@ class FileNodes:
         path = self.paths[i]
         try:
             with open(path, "r") as fh:
-                content = fh.read().strip()
-        except (OSError, UnicodeDecodeError) as exc:
+                return float(fh.read())
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
             raise SensorReadError(f"cannot read sensor node {path}: {exc}") from exc
-        try:
-            return float(content)
-        except ValueError:
-            raise SensorReadError(
-                f"sensor node {path} contains non-numeric data {content!r}"
-            ) from None
 
 
 class ReplayNodes:
@@ -197,29 +194,27 @@ class SampleBuffer:
     """Single-producer sink that keeps the first maxlen samples in order.
 
     Two stdlib array columns, int64 timestamps ('q') and float64 values
-    ('d'), grow by append; samples past maxlen are counted in dropped.
+    ('d'), grow by append up to maxlen samples; dropped counts the samples
+    that came after. The sampler's SamplerStats counts the samples taken.
     """
 
     def __init__(self, maxlen: int = 1_000_000):
         self.maxlen = maxlen
-        self.taken = 0
+        self.dropped = 0
         self._timestamps = array("q")
         self._values = array("d")
-
-    @property
-    def dropped(self) -> int:
-        return self.taken - len(self._values)
 
     def __len__(self) -> int:
         """Samples kept."""
         return len(self._values)
 
     def __call__(self, sample: PowerSample) -> None:
-        if self.taken < self.maxlen:
+        if len(self._values) < self.maxlen:
             t, v = sample
             self._timestamps.append(t)
             self._values.append(v)
-        self.taken += 1
+        else:
+            self.dropped += 1
 
     def to_trace(self, device: str) -> PowerTrace:
         """A copy of the kept samples as an internal mW trace."""
@@ -254,7 +249,7 @@ def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
                 should_stop: Callable[[], bool] | None = None,
                 max_rate_hz: float | None = None,
                 nodes=None) -> SamplerStats:
-    """Sample in a tight loop until the stop condition fires.
+    """Sample in a tight loop until the deadline passes or should_stop fires.
 
     The loop does nothing but read, timestamp and deliver, so it runs at
     the maximum rate the nodes allow unless max_rate_hz throttles it. A
@@ -262,8 +257,8 @@ def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
     asks should_stop while it waits. Clock ties are broken by bumping the
     timestamp one microsecond so the sink always sees strictly increasing
     timestamps. Read errors are counted and tolerated up to a 10% rate,
-    then the run aborts. The rate is judged at attempt 20, whether that
-    read fails or not, and at every failed read after it.
+    then the run aborts: the rate is judged after every attempt from the
+    20th on, before a successful read is delivered.
     """
     if duration_s is None and should_stop is None:
         raise ValueError("need a duration or a stop condition")
@@ -274,29 +269,24 @@ def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
 
     start_us = now_us()
     start_ns = time.monotonic_ns()
-    deadline_ns = start_ns + duration_s * 1e9 if duration_s is not None else None
+    deadline_ns = start_ns + duration_s * 1e9 if duration_s is not None else math.inf
     taken = 0
     errors = 0
     attempts = 0
     last_ts = 0
 
-    while True:
-        if should_stop is not None and should_stop():
-            break
-        if deadline_ns is not None and time.monotonic_ns() >= deadline_ns:
-            break
+    while time.monotonic_ns() < deadline_ns and not (should_stop and should_stop()):
         attempts += 1
         try:
             sample = sample_once(profile, nodes)
         except SensorReadError:
             errors += 1
-            if attempts >= _ERROR_RATE_MIN_ATTEMPTS and \
-                    errors / attempts > ERROR_RATE_LIMIT:
-                raise SamplerFailedError(errors, attempts) from None
-            continue
-        if errors and attempts == _ERROR_RATE_MIN_ATTEMPTS and \
+            sample = None
+        if errors and attempts >= _ERROR_RATE_MIN_ATTEMPTS and \
                 errors / attempts > ERROR_RATE_LIMIT:
             raise SamplerFailedError(errors, attempts)
+        if sample is None:
+            continue
         if sample.timestamp_us <= last_ts:
             sample = PowerSample(last_ts + 1, sample.value)
         last_ts = sample.timestamp_us
@@ -316,11 +306,10 @@ def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
     )
 
 
-def _wait(tick_ns: float, deadline_ns: float | None,
+def _wait(tick_ns: float, deadline_ns: float,
           should_stop: Callable[[], bool] | None) -> None:
     """Sleep until tick_ns, the deadline or should_stop, whichever comes first."""
-    if deadline_ns is not None:
-        tick_ns = min(tick_ns, deadline_ns)
+    tick_ns = min(tick_ns, deadline_ns)
     while (lag_ns := tick_ns - time.monotonic_ns()) > 0:
         if should_stop is not None and should_stop():
             return
@@ -376,14 +365,10 @@ def resolve_profile(name_or_path: str) -> Path:
     literal = Path(name_or_path)
     if literal.is_file():
         return literal
-    candidates = []
-    for directory in os.environ.get(PROFILE_PATH_ENV, "").split(":"):
-        if not directory:
-            continue
+    for directory in filter(None, os.environ.get(PROFILE_PATH_ENV, "").split(":")):
         for suffix in ("", ".profile"):
-            candidates.append(Path(directory) / (name_or_path + suffix))
-    for candidate in candidates:
-        if candidate.is_file():
-            return candidate
+            candidate = Path(directory) / (name_or_path + suffix)
+            if candidate.is_file():
+                return candidate
     raise ProfileError(f"profile {name_or_path!r} not found "
                        f"(searched literal path and ${PROFILE_PATH_ENV})")

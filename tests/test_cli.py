@@ -13,6 +13,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +312,54 @@ def test_undecodable_profile_exits_config(capsys, tmp_path):
                      "--out", tmp_path / "r.csv")
     assert rc == cli.EXIT_CONFIG
     assert_one_error_line(err, f"{profile}:2: not UTF-8")
+
+
+@pytest.mark.parametrize("lines, message", [
+    (("mode = both", "node_paths = a"),
+     "mode must be one of ('whole_board', 'sum_rails'), got 'both'"),
+    (("mode = whole_board", "node_paths = a", "unit = kw"), "unit must be one of ('mw', 'uw')"),
+    (("mode = whole_board", "node_paths = ,"), "profile needs at least one node path"),
+], ids=["mode", "unit", "no-node-path"])
+def test_invalid_profile_exits_config(capsys, tmp_path, lines, message):
+    profile = tmp_path / "bad.profile"
+    profile.write_text("".join(f"{line}\n" for line in ("device = nano", *lines)))
+    rc, out, err = run(capsys, "record", "--profile", profile, "--duration", 0.01,
+                       "--out", tmp_path / "r.csv")
+    assert (rc, out) == (cli.EXIT_CONFIG, "")
+    assert_one_error_line(err, message)
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_profile_without_a_device_exits_config(capsys, tmp_path):
+    profile = tmp_path / "nameless.profile"
+    profile.write_text("mode = whole_board\nnode_paths = a\n")
+    rc, out, err = run(capsys, "record", "--profile", profile, "--duration", 0.01,
+                       "--out", tmp_path / "r.csv")
+    assert (rc, out) == (cli.EXIT_CONFIG, "")
+    assert_one_error_line(err, f"{profile}: profile missing 'device'")
+
+
+def test_output_in_a_missing_directory_exits_config(capsys, files, tmp_path):
+    out_csv = tmp_path / "missing" / "x.csv"
+    rc, out, err = run(capsys, "apply", files / "internal.csv", "--device", "nano",
+                       "--out", out_csv)
+    assert (rc, out) == (cli.EXIT_CONFIG, "")
+    assert_one_error_line(err, f"output directory does not exist for: {out_csv}")
+
+
+def test_unspawnable_workload_exits_config(capsys, tmp_path):
+    out_csv = tmp_path / "rec.csv"
+    rc, out, err = run(capsys, "record", "--profile", file_node_profile(tmp_path, "4321\n"),
+                       "--exec", tmp_path / "no-such-command", "--out", out_csv)
+    assert (rc, out) == (cli.EXIT_CONFIG, "")
+    assert_one_error_line(err, "cannot spawn workload: ")
+    assert not out_csv.exists()
+
+
+def test_a_directory_is_not_an_input_file(capsys, tmp_path):
+    rc, out, err = run(capsys, "energy", tmp_path)
+    assert (rc, out) == (cli.EXIT_CONFIG, "")
+    assert_one_error_line(err, f"input file not found: {tmp_path}")
 
 
 # ── exit 3: bad data ────────────────────────────────────────────────────
@@ -708,6 +758,43 @@ def test_oversized_field_exits_data(capsys, tmp_path):
     assert_one_error_line(err, f"{path}:3: malformed CSV")
 
 
+def test_undecodable_byte_past_the_first_block_exits_data_without_a_line(capsys, tmp_path):
+    path = tmp_path / "late.csv"
+    body = "".join(f"{1000 * i},1000.0\n" for i in range(1000))
+    assert len(body) > 8192
+    path.write_bytes(f"timestamp_us,power_mw\n{body}".encode() + b"1000000,1\xff\n")
+    rc, out, err = run(capsys, "energy", path)
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, f"{path}: not UTF-8 text: cannot decode byte 0xff")
+
+
+def test_oversized_header_field_exits_data(capsys, tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("timestamp_us," + "p" * 131_073 + "\n0,1.0\n")
+    rc, out, err = run(capsys, "energy", path)
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, f"{path}:1: malformed CSV: field larger than field limit")
+
+
+def test_model_of_unknown_provenance_exits_data(capsys, files, tmp_path):
+    model = tmp_path / "vendor.model"
+    model.write_text("device=nano slope=1.1 intercept_mw=0.0 error_pct=1.0 provenance=vendor\n")
+    rc, out, err = run(capsys, "energy", files / "internal.csv", "--model", model)
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, f"{model}:1: bad model record: provenance must be one of")
+
+
+def test_streams_with_no_common_timestamp_and_no_gap_exit_data(capsys, tmp_path):
+    # Internal samples sit 500 us off the external 1 ms grid, and a
+    # max gap of 0 pairs only samples that share a timestamp.
+    internal = rows_csv(tmp_path / "int.csv", [(1000 * i + 500, 5000.0) for i in range(200)])
+    external = rows_csv(tmp_path / "ext.csv", [(1000 * i, 5500.0) for i in range(200)])
+    rc, out, err = run(capsys, "validate", internal, external,
+                       "--device", "nano", "--window-us", 5000, "--max-gap-us", 0)
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, "dataset is empty")
+
+
 def test_undecodable_model_file_exits_data(capsys, files, tmp_path):
     model = tmp_path / "bad.model"
     model.write_bytes(b"device=nano slope=1.1 intercept_mw=232.6 error_pct=0.8 "
@@ -846,6 +933,16 @@ def test_record_from_non_finite_node_exits_data(capsys, tmp_path, content):
     assert_one_error_line(err, "sampler aborted: 20/20 node reads failed")
 
 
+def test_record_shorter_than_one_read_exits_data(capsys, tmp_path):
+    # The 1 ns deadline passes before the first read.
+    out_csv = tmp_path / "rec.csv"
+    rc, out, err = run(capsys, "record", "--profile", file_node_profile(tmp_path, "4321\n"),
+                       "--duration", 1e-9, "--out", out_csv)
+    assert (rc, out) == (cli.EXIT_DATA, "")
+    assert_one_error_line(err, "sampler produced no samples")
+    assert not out_csv.exists()
+
+
 def test_record_for_a_huge_duration_runs_until_it_aborts(capsys, tmp_path):
     # A deadline of 1e300 s is past any clock; the failing reads end the run.
     profile = file_node_profile(tmp_path, "abc\n")
@@ -883,6 +980,64 @@ def test_record_tolerates_node_non_finite_on_one_read_in_ten(capsys, monkeypatch
     recorded = ingest.parse_trace(out_csv, "internal_csv")
     assert len(recorded) == out["samples_taken"]
     assert np.all(recorded.values == 4321.0)
+
+
+# ── pipes ───────────────────────────────────────────────────────────────
+
+@contextmanager
+def fed_fifo(path, data: bytes):
+    """A FIFO at path that a daemon thread writes data into once.
+
+    The writer blocks in open() until a reader comes. If the command under
+    test never opened the FIFO, the test reads it once itself, so that no
+    writer is left blocked.
+    """
+    os.mkfifo(path)
+    opened = threading.Event()
+
+    def feed():
+        with open(path, "wb") as fh:
+            opened.set()
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        if not opened.wait(timeout=0.5):
+            path.read_bytes()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("argv", [
+    ("energy", "internal.csv"),
+    ("energy", "internal.csv", "--device", "nano"),
+    ("peak", "boot.csv", "--threshold", 800),
+    ("apply", "internal.csv", "--device", "nano"),
+    ("calibrate", "internal.csv", "external.csv", "--device", "nano"),
+], ids=["energy", "energy-device", "peak", "apply", "calibrate"])
+def test_a_pipe_reads_like_its_file(capsys, monkeypatch, files, tmp_path, argv):
+    def argv_for(inputs, out):
+        args = [inputs[a] if a in inputs else a for a in argv]
+        return args + ["--out", out] if argv[0] == "apply" else args
+
+    csvs = [a for a in argv if str(a).endswith(".csv")]
+    rc, out = run_json(capsys, *argv_for({a: files / a for a in csvs}, tmp_path / "file.csv"))
+    with ExitStack() as stack:
+        pipes = {a: stack.enter_context(fed_fifo(tmp_path / f"pipe-{a}",
+                                                 (files / a).read_bytes()))
+                 for a in csvs}
+        # A pipe is no regular file, so energy and peak take the numpy path.
+        monkeypatch.setattr(ingest, "parse_columns", None)
+        pipe_rc, pipe_out = run_json(capsys, *argv_for(pipes, tmp_path / "pipe.csv"))
+    assert rc == cli.EXIT_OK
+    if argv[0] == "apply":
+        assert (out.pop("output"), pipe_out.pop("output")) == (str(tmp_path / "file.csv"),
+                                                               str(tmp_path / "pipe.csv"))
+        assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+    assert (pipe_rc, pipe_out) == (rc, out)
 
 
 # ── what the parser and each command load ───────────────────────────────

@@ -72,7 +72,7 @@ def test_buffer_keeps_the_first_maxlen_samples_in_order(maxlen, gaps, data):
     trace = buffer.to_trace("nano")
     assert np.array_equal(trace.timestamps_us, timestamps[:maxlen])
     assert np.array_equal(trace.values, values[:maxlen])
-    assert (buffer.taken, buffer.dropped) == (len(gaps), max(0, len(gaps) - maxlen))
+    assert (len(buffer), buffer.dropped) == (min(len(gaps), maxlen), max(0, len(gaps) - maxlen))
     assert (trace.device, trace.source, trace.unit) == ("nano", "internal", "mW")
 
 
@@ -237,6 +237,48 @@ def test_rate_is_judged_at_failed_reads_from_attempt_twenty(bad_reads, aborts):
                                                             len(bad_reads))
 
 
+def rule_oracle(bad, reads):
+    """(errors, attempt) of the first abort over `reads` reads, or None.
+
+    The run aborts at the first attempt k >= 20 that is a failed read, or
+    is attempt 20, where errors / k > 10%.
+    """
+    errors = 0
+    for k in range(1, reads + 1):
+        errors += k in bad
+        if k >= 20 and (k in bad or k == 20) and errors / k > 0.1:
+            return errors, k
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad=st.sets(st.integers(1, 60)), bad_value=st.sampled_from([None, math.nan]))
+@example(bad={1, 2, 3}, bad_value=None)        # 3/20 at attempt 20, which succeeds
+@example(bad={1, 2, 21}, bad_value=None)       # 2/20 passes, 3/21 aborts
+@example(bad={20, 40, 60}, bad_value=math.nan)  # 1/20, 2/40, 3/60: never above
+@example(bad={1, 2, *range(54, 59)}, bad_value=None)  # 2/20 and 5/56 pass, 6/57 aborts
+def test_rate_rule_matches_its_oracle(bad, bad_value):
+    samples = []
+    nodes = StubNodes(lambda k: k in bad, bad_value)
+
+    def run():
+        return sensor.run_sampler(PROFILE, samples.append,
+                                  should_stop=lambda: nodes.reads >= 60, nodes=nodes)
+
+    verdict = rule_oracle(bad, 60)
+    if verdict is None:
+        stats = run()
+        assert (stats.samples_taken, stats.read_errors) == (60 - len(bad), len(bad))
+        assert len(samples) == 60 - len(bad)
+        return
+    with pytest.raises(SamplerFailedError) as exc:
+        run()
+    errors, k = verdict
+    assert (exc.value.read_errors, exc.value.attempts) == verdict
+    # The aborting attempt delivers nothing, whether its read failed or not.
+    assert len(samples) == k - errors - (k not in bad)
+
+
 def test_node_that_always_fails_aborts_at_twenty_attempts():
     with pytest.raises(SamplerFailedError) as exc:
         sample_reads(StubNodes(lambda k: True, math.nan), 200)
@@ -252,6 +294,22 @@ class FixedRails:
 
     def read(self, i):
         return self.values[i]
+
+
+@pytest.mark.parametrize("content", [None, b"abc\n", b"", b"\xff"],
+                         ids=["missing", "non-numeric", "empty", "undecodable"])
+def test_file_node_read_errors_name_the_node(tmp_path, content):
+    node = tmp_path / "node"
+    if content is not None:
+        node.write_bytes(content)
+    with pytest.raises(SensorReadError) as exc:
+        sensor.FileNodes([str(node)]).read(0)
+    assert str(node) in str(exc.value)
+
+
+def test_file_node_reads_a_number_between_whitespace(tmp_path):
+    (tmp_path / "node").write_text(" \t4321.5 \n")
+    assert sensor.FileNodes([str(tmp_path / "node")]).read(0) == 4321.5
 
 
 def test_sample_once_rejects_rails_that_sum_to_infinity():
@@ -281,6 +339,20 @@ def test_profile_found_on_search_path_with_and_without_suffix(monkeypatch, tmp_p
     assert sensor.resolve_profile("plain") == plain
     assert sensor.resolve_profile("board") == suffixed
     assert sensor.load_profile(sensor.resolve_profile("board")).node_paths == ("b",)
+
+
+def test_empty_search_path_entries_are_skipped(monkeypatch, tmp_path):
+    # Were an empty entry the working directory, it would find the
+    # board.profile there before the search path's.
+    (tmp_path / "dir").mkdir()
+    write_profile(tmp_path / "board.profile", *HEADER, "node_paths = a")
+    found = write_profile(tmp_path / "dir" / "board.profile", *HEADER, "node_paths = b")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(sensor.PROFILE_PATH_ENV, f":{tmp_path / 'dir'}:")
+    assert sensor.resolve_profile("board") == found
+    monkeypatch.setenv(sensor.PROFILE_PATH_ENV, "::")
+    with pytest.raises(ProfileError, match="profile 'board' not found"):
+        sensor.resolve_profile("board")
 
 
 def test_literal_path_wins_over_search_path(monkeypatch, tmp_path):
