@@ -11,15 +11,16 @@ configuration error, 3 data error. A result number that is not finite
 is a data error (exit 3), so every --json line is strict JSON.
 
 Building the parser loads no numpy and no pipeline module: each command
-imports what it runs when it starts. `energy` loads `ingest` and
-`models`, and `peak` loads `ingest` and `signal` only. On a regular file
-of at most SMALL_INPUT_BYTES both run without numpy, on the stdlib
-twins of the parser and of their models or signal functions; on any
-other input they load numpy, but not `numpy.ma`. `apply` loads `ingest`,
-`models` and numpy, `calibrate` and `validate` load those and `signal`
-and `regression`, and `record` loads `sensor` only, which writes its CSV
-without numpy (a `replay:` profile also loads `ingest` and numpy to
-parse what it replays). Only `record --exec` loads `subprocess`.
+imports what it runs when it starts. `apply` and `energy` load `ingest`
+and `models`, and `peak` loads `ingest` and `signal` only. On a regular
+file of at most SMALL_INPUT_BYTES the three run without numpy, on the
+stdlib twins of the parser, of their models or signal functions and,
+for `apply`, of the CSV writer; on any other input they load numpy, but
+not `numpy.ma`. `calibrate` and `validate` load `ingest`, `models`,
+numpy, `signal` and `regression`, and `record` loads `sensor` only,
+which writes its CSV with the stdlib writer (a `replay:` profile also
+loads `ingest` and numpy to parse what it replays). Only `record --exec`
+loads `subprocess`.
 """
 
 from __future__ import annotations
@@ -39,12 +40,14 @@ EXIT_GATE_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 
-# `energy` and `peak` read a regular file of at most this many bytes
-# without numpy. Measured on a 2-vCPU x86 host with Python 3.11 and
+# `apply`, `energy` and `peak` read a regular file of at most this many
+# bytes without numpy. Measured on a 2-vCPU x86 host with Python 3.11 and
 # numpy 2.4: importing numpy costs 66 ms in a fresh process, and the
 # numpy-free parse and integral cost 1.0-2.0 us per row more than
 # np.loadtxt and numpy's, so the two break even at 33k-70k rows, 1.2-1.8 MB
-# of CSV. 1 MiB stays below that, and keeps the 15-300 KB inputs of the
+# of CSV. `apply`'s numpy-free parse, map and write break even with
+# numpy's at 30k-40k rows of distinct 17-digit values, 1.0-1.4 MB. 1 MiB
+# stays at or below these, and keeps the 15-300 KB inputs of the
 # benchmark numpy-free and its 3-9 MB ones on numpy.
 SMALL_INPUT_BYTES = 1 << 20
 
@@ -234,38 +237,56 @@ def cmd_validate(args) -> dict:
 
 
 def cmd_apply(args) -> dict:
-    import numpy as np
-
     from . import ingest, models
-    from .traces import PowerTrace
 
     _require_inputs(args.input_csv)
     _require_writable(args.out)
     model = _resolve_model(args.device, args.model_file)
-    raw = ingest.parse_trace(args.input_csv, "internal_csv", model.device)
-    n_read = len(raw)
-    if args.on_invalid == "skip":
-        kept = raw.values >= 0
-        raw = PowerTrace(raw.device, raw.source, raw.unit,
-                         raw.timestamps_us[kept], raw.values[kept])
-    calibrated = models.apply_trace(model, raw)
-    ingest.write_trace(calibrated, args.out)
+    skip = args.on_invalid == "skip"
+    if _small_input(args.input_csv):
+        from array import array
+        from itertools import compress
+
+        from .traces import TraceColumns
+
+        raw = ingest.parse_columns(args.input_csv, "internal_csv")
+        n_read = len(raw.values)
+        if skip:
+            kept = [v >= 0 for v in raw.values]
+            raw = TraceColumns(raw.unit, array("q", compress(raw.timestamps_us, kept)),
+                               array("d", compress(raw.values, kept)))
+        calibrated = models.apply_columns(model, raw)
+        calibrated.write_csv(args.out)
+        raw_values, values = raw.values, calibrated.values
+        negative = min(values, default=0.0) < 0
+    else:
+        from .traces import PowerTrace
+
+        raw = ingest.parse_trace(args.input_csv, "internal_csv", model.device)
+        n_read = len(raw)
+        if skip:
+            kept = raw.values >= 0
+            raw = PowerTrace(raw.device, raw.source, raw.unit,
+                             raw.timestamps_us[kept], raw.values[kept])
+        calibrated = models.apply_trace(model, raw)
+        ingest.write_trace(calibrated, args.out)
+        raw_values, values = memoryview(raw.values), memoryview(calibrated.values)
+        negative = bool(calibrated.values.min(initial=0.0) < 0)
     result = {
         "device": model.device,
-        "n_samples": len(calibrated),
-        "n_skipped": n_read - len(raw),
+        "n_samples": len(values),
+        "n_skipped": n_read - len(values),
         "output": str(args.out),
     }
-    if len(calibrated):
-        # A sum past the float range makes a mean inf, which _emit refuses.
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean_raw = float(raw.values.mean())
-            mean_cal = float(calibrated.values.mean())
+    if len(values):
+        # Both paths take fsum means, so they print the same digits. A sum
+        # past the float range makes a mean inf, which _emit refuses.
+        mean_raw, mean_cal = models.mean(raw_values), models.mean(values)
         result["mean_raw_mw"] = mean_raw
         result["mean_calibrated_mw"] = mean_cal
         if mean_cal != 0.0:
             result["implied_gap_pct"] = (mean_cal - mean_raw) / mean_cal * 100.0
-        if calibrated.values.min() < 0:
+        if negative:
             result["warnings"] = models.NEGATIVE_CALIBRATED_WARNING
     return result
 

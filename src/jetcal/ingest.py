@@ -43,7 +43,7 @@ from array import array
 from itertools import chain, islice
 
 from .errors import InvalidReadingError, ParseError, undecodable
-from .traces import PowerTrace, TraceColumns
+from .traces import CSV_COLUMNS, PowerTrace, TraceColumns
 
 DEFAULT_COIL_TURNS = 10
 
@@ -402,14 +402,14 @@ def write_trace(trace: PowerTrace, path) -> None:
     rows go out _CHUNK_LINES at a time, and each run of equal values is
     formatted once, as a "%d" format of its rows, because a recorded trace
     re-reads one node value for many rows. Values are told apart by their
-    bits, so 0.0 and -0.0 keep their own repr.
+    bits, so 0.0 and -0.0 keep their own repr. TraceColumns.write_csv is
+    its stdlib twin, and writes the same bytes.
     """
     import numpy as np
 
-    column = "power_mw" if trace.unit == "mW" else "current_ma"
     ts, values = trace.timestamps_us, trace.values
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"timestamp_us,{column}\n")
+        fh.write(f"timestamp_us,{CSV_COLUMNS[trace.unit]}\n")
         for start in range(0, len(ts), _CHUNK_LINES):
             chunk = values[start:start + _CHUNK_LINES]
             bits = chunk.view(np.int64)

@@ -13,9 +13,11 @@ the `apply` command reports them with a warning flag.
 
 numpy is imported only by the functions on a PowerTrace. apply_columns
 and integrate_energy_columns are their stdlib twins on the TraceColumns
-of a small file: the same float operations in the same order, so the
-same values and reports bit for bit, and the same errors. Both energy
-integrals sum their trapezoid areas with math.fsum.
+of a small file, which `apply` and `energy` use there: the same float
+operations in the same order, so the same values and reports bit for
+bit, and the same errors. Both energy integrals sum their trapezoid
+areas with math.fsum, and `mean`, which `apply` takes on either path, is
+the fsum of its values over their count.
 """
 
 from __future__ import annotations
@@ -201,6 +203,14 @@ def _energy_report(areas, duration_us: int) -> EnergyReport:
     if energy_mj < 0:
         raise InvalidReadingError(f"energy over the trace is negative: {energy_mj!r} mJ")
     return EnergyReport(energy_mj, duration_us, energy_mj * 1e6 / duration_us)
+
+
+def mean(values) -> float:
+    """The correctly rounded sum of the values over their count.
+
+    The sum is _fsum's, so a sum past the float range gives inf or -inf.
+    """
+    return _fsum(values) / len(values)
 
 
 def _fsum(areas) -> float:

@@ -9,7 +9,8 @@ A node path of the form `replay:<trace.csv>` swaps the filesystem reader
 for an in-memory replay of that trace, letting the whole pipeline run and
 be tested with no hardware attached. The sampler keeps no sample it
 delivers; `record` collects them in SampleBuffer, two append-only stdlib
-array columns that write their own CSV, so recording loads no numpy.
+array columns, and writes them with TraceColumns.write_csv, the numpy-free
+writer that `apply` uses on a small file, so recording loads no numpy.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, fields
-from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .errors import (ERROR_RATE_LIMIT, InsufficientDataError, ProfileError,
                      SamplerFailedError, SensorReadError, undecodable)
-from .traces import PowerSample, PowerTrace, canonical_device_id
+from .traces import PowerSample, PowerTrace, TraceColumns, canonical_device_id
 
 MODES = ("whole_board", "sum_rails")
 UNIT_SCALE = {"mw": 1.0, "uw": 1e-3}
@@ -39,10 +39,6 @@ _ERROR_RATE_MIN_ATTEMPTS = 20
 # A throttled sampler waits for its next tick in sleeps of at most this
 # long, and asks should_stop after each.
 _WAIT_SLICE_NS = 10_000_000
-
-# Rows SampleBuffer.write_csv formats at a time: each run of equal values
-# in a chunk is formatted once, and the chunk's text stays small.
-_WRITE_ROWS = 8192
 
 
 _EPOCH_OFFSET_NS = time.time_ns() - time.monotonic_ns()
@@ -196,6 +192,8 @@ class SampleBuffer:
     Two stdlib array columns, int64 timestamps ('q') and float64 values
     ('d'), grow by append up to maxlen samples; dropped counts the samples
     that came after. The sampler's SamplerStats counts the samples taken.
+    write_csv hands the columns to TraceColumns.write_csv, which writes
+    them without numpy.
     """
 
     def __init__(self, maxlen: int = 1_000_000):
@@ -227,21 +225,9 @@ class SampleBuffer:
     def write_csv(self, path) -> None:
         """Write the kept samples as an internal_csv file.
 
-        The bytes are those of ingest.write_trace on to_trace(), and so is
-        the formatting: each run of equal value bits in a chunk of
-        _WRITE_ROWS rows is formatted once, as a "%d" format of its rows.
+        The bytes are those of ingest.write_trace on to_trace().
         """
-        ts, values = self._timestamps, self._values
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("timestamp_us,power_mw\n")
-            for start in range(0, len(values), _WRITE_ROWS):
-                end = start + _WRITE_ROWS
-                chunk, rows, i = values[start:end], [], 0
-                for _, run in groupby(array("q", chunk.tobytes())):
-                    n = len(list(run))
-                    rows.append(f"%d,{chunk[i]!r}\n" * n)
-                    i += n
-                fh.write("".join(rows) % tuple(ts[start:end]))
+        TraceColumns("mW", self._timestamps, self._values).write_csv(path)
 
 
 def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 from contextlib import ExitStack, contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,36 @@ def assert_one_error_line(err, prefix):
     assert "Traceback" not in err
 
 
+# SMALL_INPUT_BYTES that send every input to one path of apply, energy and
+# peak.
+PATHS = {"numpy": 0, "stdlib": 2**62}
+
+
+def run_on_both_paths(capsys, *argv):
+    """run() on the numpy path, then on the stdlib path; the second's result.
+
+    Both runs must print the same and leave the same file, or none, at
+    argv's --out path, if it has one; the stdlib run's file stays.
+    """
+    out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    runs = []
+    for limit in PATHS.values():
+        if out is not None:
+            out.unlink(missing_ok=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "SMALL_INPUT_BYTES", limit)
+            printed = run(capsys, *argv)
+        runs.append((printed, out is not None and out.exists() and out.read_bytes()))
+    assert runs[0] == runs[1], argv
+    return runs[1][0]
+
+
+def run_json_on_both_paths(capsys, *argv):
+    rc, out, err = run_on_both_paths(capsys, *argv, "--json")
+    assert len(out.splitlines()) == 1, out
+    return rc, strict_json(out)
+
+
 # ── exit 0 and 1 ────────────────────────────────────────────────────────
 
 def test_calibrate_recovers_nano_model(capsys, files, tmp_path):
@@ -161,8 +192,8 @@ def test_device_picks_its_model_from_a_model_file(capsys, files, tmp_path):
 
 def test_apply_then_energy(capsys, files, tmp_path):
     calibrated = tmp_path / "cal.csv"
-    rc, out = run_json(capsys, "apply", files / "internal.csv", "--device", "nano",
-                       "--out", calibrated)
+    rc, out = run_json_on_both_paths(capsys, "apply", files / "internal.csv", "--device",
+                                     "nano", "--out", calibrated)
     assert rc == cli.EXIT_OK
     assert set(out) == APPLY_KEYS | {"n_skipped"}
     raw = ingest.parse_trace(files / "internal.csv", "internal_csv")
@@ -188,8 +219,8 @@ def test_apply_writes_a_recorded_trace_as_the_oracle(capsys, tmp_path):
     raw = PowerTrace("nano", "internal", "mW", ts, levels[np.searchsorted(updates, ts)])
     assert len(np.unique(raw.values)) < len(raw) / 100
     ingest.write_trace(raw, tmp_path / "rec.csv")
-    rc, out = run_json(capsys, "apply", tmp_path / "rec.csv", "--device", "nano",
-                       "--out", tmp_path / "cal.csv")
+    rc, out = run_json_on_both_paths(capsys, "apply", tmp_path / "rec.csv", "--device", "nano",
+                                     "--out", tmp_path / "cal.csv")
     assert (rc, out["n_samples"]) == (cli.EXIT_OK, len(raw))
     expected = PowerTrace("nano", "calibrated", "mW", ts,
                           NANO.slope * raw.values + NANO.intercept_mw)
@@ -461,7 +492,8 @@ def test_apply_to_a_zero_mean_omits_the_gap(capsys, tmp_path):
     model = tmp_path / "z.model"
     model.write_text("device=nano slope=1.0 intercept_mw=0.0 error_pct=1.0 "
                      "provenance=fitted\n")
-    rc, out = run_json(capsys, "apply", path, "--model", model, "--out", tmp_path / "cal.csv")
+    rc, out = run_json_on_both_paths(capsys, "apply", path, "--model", model,
+                                     "--out", tmp_path / "cal.csv")
     assert rc == cli.EXIT_OK
     assert out == {"device": "nano", "n_samples": 5, "n_skipped": 0,
                    "output": str(tmp_path / "cal.csv"),
@@ -471,8 +503,8 @@ def test_apply_to_a_zero_mean_omits_the_gap(capsys, tmp_path):
 
 def test_apply_skip_counts_the_skipped_rows_and_means_the_kept_ones(capsys, tmp_path):
     path = power_csv(tmp_path / "raw.csv", [5.0, -3.0, 7.0])
-    rc, out = run_json(capsys, "apply", path, "--device", "nano", "--on-invalid", "skip",
-                       "--out", tmp_path / "cal.csv")
+    rc, out = run_json_on_both_paths(capsys, "apply", path, "--device", "nano",
+                                     "--on-invalid", "skip", "--out", tmp_path / "cal.csv")
     calibrated = [NANO.slope * v + NANO.intercept_mw for v in (5.0, 7.0)]
     mean_cal = (calibrated[0] + calibrated[1]) / 2
     assert (rc, out["n_samples"], out["n_skipped"]) == (cli.EXIT_OK, 2, 1)
@@ -489,10 +521,10 @@ def test_apply_flags_negative_calibrated_values_last(capsys, tmp_path):
     model.write_text("device=nano slope=1.5 intercept_mw=-500.0 error_pct=1.0 "
                      "provenance=fitted\n")
     argv = ("apply", path, "--model", model, "--out", tmp_path / "cal.csv")
-    rc, report = run_json(capsys, *argv)
+    rc, report = run_json_on_both_paths(capsys, *argv)
     assert rc == cli.EXIT_OK
     assert report["warnings"] == "negative_calibrated_values"
-    rc, out, err = run(capsys, *argv)
+    rc, out, err = run_on_both_paths(capsys, *argv)
     assert (rc, err) == (cli.EXIT_OK, "")
     assert out.splitlines()[-1] == "warnings = negative_calibrated_values"
     cal = ingest.parse_trace(tmp_path / "cal.csv", "internal_csv")
@@ -501,8 +533,8 @@ def test_apply_flags_negative_calibrated_values_last(capsys, tmp_path):
 
 def test_apply_skip_of_every_row_writes_only_the_header(capsys, tmp_path):
     path = power_csv(tmp_path / "raw.csv", [-1.0, -2.0, -3.0])
-    rc, out = run_json(capsys, "apply", path, "--device", "nano", "--on-invalid", "skip",
-                       "--out", tmp_path / "cal.csv")
+    rc, out = run_json_on_both_paths(capsys, "apply", path, "--device", "nano",
+                                     "--on-invalid", "skip", "--out", tmp_path / "cal.csv")
     assert rc == cli.EXIT_OK
     assert out == {"device": "nano", "n_samples": 0, "n_skipped": 3,
                    "output": str(tmp_path / "cal.csv")}
@@ -514,12 +546,33 @@ def test_apply_skip_of_no_row_is_apply(capsys, tmp_path):
     results = []
     for policy in ("abort", "skip"):
         out_csv = tmp_path / f"{policy}.csv"
-        rc, out = run_json(capsys, "apply", path, "--device", "nano", "--on-invalid", policy,
-                           "--out", out_csv)
+        rc, out = run_json_on_both_paths(capsys, "apply", path, "--device", "nano",
+                                         "--on-invalid", policy, "--out", out_csv)
         assert (rc, out.pop("output")) == (cli.EXIT_OK, str(out_csv))
         results.append((out, out_csv.read_bytes()))
     assert results[0] == results[1]
     assert results[0][0]["n_skipped"] == 0
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.floats(-1e300, 1e300) | st.floats(0.0, 1e-300), min_size=1,
+                       max_size=30))
+# Each 1.0 is lost to a running sum from 1e16 on, but not to the exact one.
+@example(values=[1e16, 1.0, 1.0, 1.0])
+def test_apply_means_are_the_exact_sums_rounded_over_n(capsys, tmp_path, values):
+    path = rows_csv(tmp_path / "raw.csv", [(1000 * i, v) for i, v in enumerate(values)])
+    rc, out = run_json_on_both_paths(capsys, "apply", path, "--device", "nano",
+                                     "--on-invalid", "skip", "--out", tmp_path / "cal.csv")
+    kept = [v for v in values if v >= 0]
+    calibrated = [NANO.slope * v + NANO.intercept_mw for v in kept]
+    assert (rc, out["n_samples"], out["n_skipped"]) == (cli.EXIT_OK, len(kept),
+                                                          len(values) - len(kept))
+    if kept:
+        assert out["mean_raw_mw"] == float(sum(map(Fraction, kept))) / len(kept)
+        assert out["mean_calibrated_mw"] == float(sum(map(Fraction, calibrated))) / len(kept)
+    else:
+        assert "mean_raw_mw" not in out
 
 
 def test_energy_below_zero_exits_data(capsys, tmp_path):
@@ -558,14 +611,10 @@ def rows_csv(path, rows, column="power_mw"):
 def test_a_number_past_the_float_range_exits_data(capsys, tmp_path, argv, rows, message):
     command, *flags = argv
     out_csv = ("--out", tmp_path / "cal.csv") if command == "apply" else ()
-    rc, out, err = run(capsys, command, rows_csv(tmp_path / "big.csv", rows), *flags,
-                       *out_csv, "--json")
+    rc, out, err = run_on_both_paths(capsys, command, rows_csv(tmp_path / "big.csv", rows),
+                                     *flags, *out_csv, "--json")
     assert (rc, out) == (cli.EXIT_DATA, "")
     assert_one_error_line(err, message)
-
-
-# SMALL_INPUT_BYTES that send every input to one path of energy and peak.
-PATHS = {"numpy": 0, "stdlib": 2**62}
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))
@@ -709,15 +758,14 @@ def test_energy_and_peak_print_alike_on_both_paths(capsys, tmp_path, trace, colu
     model.write_text("device=nano slope=1.5 intercept_mw=-500.0 error_pct=1.0 "
                      "provenance=fitted\n")
     as_json = ["--json"] if as_json else []
+    out_csv = ("--out", tmp_path / "cal.csv")
     for argv in [("energy", power), ("energy", power, "--device", "nano"),
                  ("energy", power, "--model", model),
+                 ("apply", power, "--device", "nano", *out_csv),
+                 ("apply", power, "--model", model, *out_csv),
+                 ("apply", power, "--model", model, "--on-invalid", "skip", *out_csv),
                  ("peak", boot, f"--threshold={threshold!r}")]:
-        printed = []
-        for limit in PATHS.values():
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cli, "SMALL_INPUT_BYTES", limit)
-                printed.append(run(capsys, *argv, *as_json))
-        assert printed[0] == printed[1], argv
+        run_on_both_paths(capsys, *argv, *as_json)
     rc, out, _ = run(capsys, "energy", power, "--json")
     if rc == cli.EXIT_OK:
         expected = integrate_energy(ingest.parse_trace(power, "internal_csv")).energy_mj
@@ -1099,6 +1147,23 @@ def test_energy_loads_only_what_it_runs(tmp_path):
         numpy_printed, numpy_loaded = run_fresh_cli(argv, limit=0)
         assert "numpy" in numpy_loaded
         assert numpy_printed == printed
+
+
+def test_apply_loads_only_what_it_runs(tmp_path):
+    path, out_csv = tmp_path / "p.csv", tmp_path / "cal.csv"
+    path.write_text("timestamp_us,power_mw\n0,1000.0\n1000,2000.0\n")
+    for policy in ("abort", "skip"):
+        argv = ["apply", str(path), "--device", "nano", "--on-invalid", policy,
+                "--out", str(out_csv), "--json"]
+        printed, loaded = run_fresh_cli(argv)
+        written = out_csv.read_bytes()
+        assert {"jetcal.ingest", "jetcal.models"} <= loaded
+        assert not {"numpy", "jetcal.regression", "jetcal.signal", "jetcal.sensor",
+                    "subprocess"} & loaded
+        # Past the size limit, apply loads numpy and prints and writes the same.
+        numpy_printed, numpy_loaded = run_fresh_cli(argv, limit=0)
+        assert "numpy" in numpy_loaded
+        assert (numpy_printed, out_csv.read_bytes()) == (printed, written)
 
 
 def test_peak_loads_only_what_it_runs(files):

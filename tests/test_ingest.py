@@ -1,19 +1,21 @@
 """CSV schemas, channel-to-power conversion, parse errors, writing."""
 
 import os
+import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetcal import ingest
+from jetcal import ingest, traces
 from jetcal.errors import ParseError
 from jetcal.ingest import (parse_trace, parse_value_trace, power_from_channels,
                            write_trace)
 
-from conftest import TRICKY, chunk_edge_rows, make_trace, oracle_trace_csv, recording_writes
+from conftest import (TRICKY, chunk_edge_rows, columns_of, make_trace, oracle_trace_csv,
+                      recording_writes)
 
 
 def channels(rows):
@@ -639,3 +641,36 @@ def test_held_values_write_in_chunks(tmp_path, rng):
     data, writes = written(trace, tmp_path)
     assert data == oracle_trace_csv(trace)
     assert [text.count("\n") for text in writes] == [1] + [ingest._CHUNK_LINES] * 3 + [5]
+
+
+# Signed zeros, subnormals, readings near the edge of the float range and
+# values whose repr is easy to get wrong.
+WRITE_VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1.7e308,
+                                 -1.7e308, sys.float_info.max, -sys.float_info.max, *TRICKY])
+                | st.floats(allow_nan=False, allow_infinity=False))
+EDGE = traces._WRITE_ROWS
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(st.tuples(WRITE_VALUES, st.integers(1, 6)), max_size=12),
+       t0=st.integers(0, 2**62), gap=st.integers(1, 10**9), unit=st.sampled_from(["mW", "mA"]),
+       chunk_rows=st.sampled_from([1, 2, 3, 4, 7, EDGE]))
+# Held runs, then distinct rows, across the edge of the first chunk.
+@example(runs=[(1.7e308, EDGE - 2), (-0.0, 1), (0.0, 1), (5e-324, 3), (-1.7e308, 1)],
+         t0=0, gap=1, unit="mW", chunk_rows=EDGE)
+@example(runs=[(i * 1.1 - 5000.0, 1) for i in range(EDGE + 9)] + [(-5e-324, 4)],
+         t0=1_700_000_000_000_000, gap=13, unit="mA", chunk_rows=EDGE)
+def test_stdlib_writer_writes_the_bytes_of_write_trace(tmp_path_factory, runs, t0, gap, unit,
+                                                       chunk_rows):
+    # With a few rows per chunk, chunks of distinct rows and of held runs
+    # mix, so both ways of formatting a chunk are taken.
+    values = [v for v, n in runs for _ in range(n)]
+    trace = make_trace(range(t0, t0 + gap * len(values), gap), values, unit=unit,
+                       source="external" if unit == "mA" else "internal")
+    d = tmp_path_factory.mktemp("write")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traces, "_WRITE_ROWS", chunk_rows)
+        columns_of(trace).write_csv(d / "columns.csv")
+    write_trace(trace, d / "trace.csv")
+    assert (d / "columns.csv").read_bytes() == (d / "trace.csv").read_bytes()
+    assert (d / "trace.csv").read_bytes() == oracle_trace_csv(trace)
