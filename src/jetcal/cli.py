@@ -20,7 +20,10 @@ not `numpy.ma`. `calibrate` and `validate` load `ingest`, `models`,
 numpy, `signal` and `regression`, and `record` loads `sensor` only,
 which writes its CSV with the stdlib writer (a `replay:` profile also
 loads `ingest` and numpy to parse what it replays). Only `record --exec`
-loads `subprocess`.
+loads `subprocess`, and only `record` loads `dataclasses`, which brings
+`inspect` and costs about 9 ms of start-up: the reports are NamedTuples,
+and `sensor.DeviceProfile` stays a dataclass because the benchmark
+rebuilds a profile with `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -128,11 +131,9 @@ def _resolve_model(device: str | None, model_file: str | None):
 
 
 def _report_dict(report) -> dict:
-    """A FitReport's model fields, then its own, in dataclass field order."""
-    from dataclasses import asdict
-
-    result = asdict(report)
-    return {**result.pop("model"), **result}
+    """A FitReport's model fields, then its own, each in field order."""
+    result = report._asdict()
+    return {**result.pop("model")._asdict(), **result}
 
 
 def _paired_pipeline(args):
@@ -257,7 +258,7 @@ def cmd_apply(args) -> dict:
                                array("d", compress(raw.values, kept)))
         calibrated = models.apply_columns(model, raw)
         calibrated.write_csv(args.out)
-        raw_values, values = raw.values, calibrated.values
+        raw_values, values, mean = raw.values, calibrated.values, models.mean
         negative = min(values, default=0.0) < 0
     else:
         from .traces import PowerTrace
@@ -270,7 +271,7 @@ def cmd_apply(args) -> dict:
                              raw.timestamps_us[kept], raw.values[kept])
         calibrated = models.apply_trace(model, raw)
         ingest.write_trace(calibrated, args.out)
-        raw_values, values = memoryview(raw.values), memoryview(calibrated.values)
+        raw_values, values, mean = raw.values, calibrated.values, models.mean_of_runs
         negative = bool(calibrated.values.min(initial=0.0) < 0)
     result = {
         "device": model.device,
@@ -281,7 +282,7 @@ def cmd_apply(args) -> dict:
     if len(values):
         # Both paths take fsum means, so they print the same digits. A sum
         # past the float range makes a mean inf, which _emit refuses.
-        mean_raw, mean_cal = models.mean(raw_values), models.mean(values)
+        mean_raw, mean_cal = mean(raw_values), mean(values)
         result["mean_raw_mw"] = mean_raw
         result["mean_calibrated_mw"] = mean_cal
         if mean_cal != 0.0:
@@ -292,8 +293,6 @@ def cmd_apply(args) -> dict:
 
 
 def cmd_energy(args) -> dict:
-    from dataclasses import asdict
-
     from . import ingest, models
 
     _require_inputs(args.input_csv)
@@ -308,12 +307,10 @@ def cmd_energy(args) -> dict:
         trace = (models.apply_columns if small else models.apply_trace)(model, trace)
         calibrated_with = model.device
     report = (models.integrate_energy_columns if small else models.integrate_energy)(trace)
-    return {**asdict(report), "calibrated_with": calibrated_with}
+    return {**report._asdict(), "calibrated_with": calibrated_with}
 
 
 def cmd_peak(args) -> dict:
-    from dataclasses import asdict
-
     from . import ingest
     from . import signal as sig
 
@@ -324,7 +321,7 @@ def cmd_peak(args) -> dict:
     else:
         trace = ingest.parse_value_trace(args.input_csv)
         report = sig.detect_peak(trace, args.threshold)
-    return {**asdict(report), "unit": trace.unit}
+    return {**report._asdict(), "unit": trace.unit}
 
 
 def _add_pipeline_flags(sub) -> None:

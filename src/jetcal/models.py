@@ -11,21 +11,22 @@ more than 50% under calibration, and a fitted model with a negative
 intercept may map tiny readings below zero. Such values are kept, and
 the `apply` command reports them with a warning flag.
 
-numpy is imported only by the functions on a PowerTrace. apply_columns
-and integrate_energy_columns are their stdlib twins on the TraceColumns
-of a small file, which `apply` and `energy` use there: the same float
-operations in the same order, so the same values and reports bit for
-bit, and the same errors. Both energy integrals sum their trapezoid
-areas with math.fsum, and `mean`, which `apply` takes on either path, is
-the fsum of its values over their count.
+numpy is imported only by the functions on a PowerTrace or an array.
+apply_columns and integrate_energy_columns are their stdlib twins on the
+TraceColumns of a small file, which `apply` and `energy` use there: the
+same float operations in the same order, so the same values and reports
+bit for bit, and the same errors. Both energy integrals sum their
+trapezoid areas with math.fsum. `mean`, which `apply` takes on a small
+file, is the fsum of its values over their count, and mean_of_runs, which
+it takes on numpy's path, is the same mean, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import pairwise
+from typing import NamedTuple
 
 from .errors import (InsufficientDataError, InvalidReadingError, ParseError,
                      UnknownDeviceError, undecodable)
@@ -36,18 +37,26 @@ PROVENANCES = ("builtin", "fitted")
 NEGATIVE_CALIBRATED_WARNING = "negative_calibrated_values"
 
 
-@dataclass(frozen=True)
-class CalibrationModel:
-    """Per-device linear map from internal sensor mW to true mW."""
-
+class _ModelFields(NamedTuple):
     device: str
     slope: float
     intercept_mw: float
     stated_error_pct: float
     provenance: str = "fitted"
 
-    def __post_init__(self):
-        object.__setattr__(self, "device", canonical_device_id(self.device))
+
+class CalibrationModel(_ModelFields):
+    """Per-device linear map from internal sensor mW to true mW.
+
+    The constructor canonicalises the device id and refuses a bad field;
+    _replace and _make skip both, so build a changed model by calling it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        device = canonical_device_id(self.device)
         if not (math.isfinite(self.slope) and self.slope > 0):
             raise ValueError(f"slope must be positive and finite, got {self.slope}")
         if not math.isfinite(self.intercept_mw):
@@ -58,10 +67,10 @@ class CalibrationModel:
             )
         if self.provenance not in PROVENANCES:
             raise ValueError(f"provenance must be one of {PROVENANCES}")
+        return self._replace(device=device)
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Integrated energy over a trace, with derived mean power."""
 
     energy_mj: float
@@ -211,6 +220,31 @@ def mean(values) -> float:
     The sum is _fsum's, so a sum past the float range gives inf or -inf.
     """
     return _fsum(values) / len(values)
+
+
+def mean_of_runs(values) -> float:
+    """mean of a finite float64 array, bit for bit, summed run by run.
+
+    A run of n equal values v adds n * hi + n * lo, where hi is v with its
+    low 27 mantissa bits cleared and lo = v - hi: both are exact for
+    n < 2**26. So a held trace, as `record` writes, costs its runs, not its
+    rows. Runs of three values or fewer on average (the break-even on a
+    2-vCPU x86 host), a longer run or a product past the float range
+    take mean itself.
+    """
+    import numpy as np
+
+    new_run = values.view(np.int64)[1:] != values.view(np.int64)[:-1]
+    if 3 * np.count_nonzero(new_run) < len(values):
+        starts = np.flatnonzero(np.insert(new_run, 0, True))
+        counts = np.diff(starts, append=len(values))
+        v = values[starts]
+        hi = (v.view(np.int64) & -(1 << 27)).view(np.float64)
+        with np.errstate(over="ignore"):
+            terms = np.concatenate((counts * hi, counts * (v - hi)))
+        if counts.max() < 1 << 26 and np.isfinite(terms).all():
+            return _fsum(memoryview(terms)) / len(values)
+    return mean(memoryview(values))
 
 
 def _fsum(areas) -> float:

@@ -14,7 +14,7 @@ division, and counted instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .traces import PairedDataset
 DEFAULT_LOW_POWER_FLOOR_MW = 100.0
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     """Fitted model plus the validation metrics computed on a dataset."""
 
     model: CalibrationModel
@@ -65,10 +64,11 @@ def fit(data: PairedDataset,
                                   f"intercept {intercept!r} mW")
     if slope <= 0:
         raise SuspiciousFitError(slope, intercept)
-    model = CalibrationModel(data.device, slope, intercept, 0.0, "fitted")
-    report = evaluate(model, data, low_power_floor_mw)
+    report = evaluate(CalibrationModel(data.device, slope, intercept, 0.0), data,
+                      low_power_floor_mw)
     # a fitted model's stated bound is its own mean error on training data
-    return replace(report, model=replace(model, stated_error_pct=report.mae_pct))
+    return report._replace(model=CalibrationModel(data.device, slope, intercept,
+                                                  report.mae_pct))
 
 
 def evaluate(model: CalibrationModel, data: PairedDataset,

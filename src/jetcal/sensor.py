@@ -21,7 +21,7 @@ import time
 from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import (ERROR_RATE_LIMIT, InsufficientDataError, ProfileError,
                      SamplerFailedError, SensorReadError, undecodable)
@@ -53,6 +53,8 @@ def now_us() -> int:
     return (_EPOCH_OFFSET_NS + time.monotonic_ns()) // 1000
 
 
+# A dataclass, unlike the other records, because the benchmark rebuilds
+# one with dataclasses.replace (bench/layers.py:136); only `record` loads it.
 @dataclass(frozen=True)
 class DeviceProfile:
     """Where and how to read a device's power sensor nodes."""
@@ -82,8 +84,7 @@ class DeviceProfile:
                                f"got {self.time_scale}")
 
 
-@dataclass(frozen=True)
-class SamplerStats:
+class SamplerStats(NamedTuple):
     """Outcome of one sampling run."""
 
     samples_taken: int

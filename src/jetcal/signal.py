@@ -13,8 +13,8 @@ a small file: the same report, bit for bit, and the same errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import pairwise
+from typing import NamedTuple
 
 from .errors import (BaselineUndefinedError, EmptyOverlapError,
                      InsufficientDataError, InvalidReadingError, UnitError)
@@ -151,8 +151,7 @@ def align(internal: PowerTrace, external: PowerTrace,
     return PairedDataset(internal.device, ts, raw, interp)
 
 
-@dataclass(frozen=True)
-class PeakReport:
+class PeakReport(NamedTuple):
     """Largest excursion of a trace relative to a threshold."""
 
     peak_value: float

@@ -8,7 +8,7 @@ transients around a given peak. All generation is seeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from .models import CalibrationModel, invert_model
 from .traces import PowerTrace
 
 
-@dataclass(frozen=True)
-class PiecewisePower:
+class PiecewisePower(NamedTuple):
     """True power as a sequence of hold and ramp segments.
 
     Arrays hold segment start/end times and start/end values; evaluation

@@ -47,6 +47,19 @@ PEAK_KEYS = {"baseline", "duration_above_threshold_us", "peak_timestamp_us",
              "peak_value", "threshold", "unit"}
 RECORD_KEYS = {"achieved_rate_hz", "device", "dropped", "end_us", "output",
                "read_errors", "samples_taken", "start_us"}
+# The order of the `key = value` lines: a report's fields in field order,
+# a FitReport's model fields first, then the keys the command adds.
+PRINTED_ORDER = {
+    "calibrate": ["device", "slope", "intercept_mw", "stated_error_pct", "provenance",
+                  "mae_pct", "max_abs_err_pct", "r_squared", "n_samples",
+                  "excluded_low_power", "model_file"],
+    "validate": ["device", "slope", "intercept_mw", "stated_error_pct", "provenance",
+                 "mae_pct", "max_abs_err_pct", "r_squared", "n_samples",
+                 "excluded_low_power", "gate_threshold_pct", "gate"],
+    "energy": ["energy_mj", "duration_us", "mean_power_mw", "calibrated_with"],
+    "peak": ["peak_value", "peak_timestamp_us", "baseline", "duration_above_threshold_us",
+             "threshold", "unit"],
+}
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +238,22 @@ def test_apply_writes_a_recorded_trace_as_the_oracle(capsys, tmp_path):
     expected = PowerTrace("nano", "calibrated", "mW", ts,
                           NANO.slope * raw.values + NANO.intercept_mw)
     assert (tmp_path / "cal.csv").read_bytes() == oracle_trace_csv(expected)
+
+
+@pytest.mark.parametrize("command", PRINTED_ORDER)
+def test_each_command_prints_its_keys_in_a_fixed_order(capsys, files, tmp_path, command):
+    pair = [files / "internal.csv", files / "external.csv", "--device", "nano",
+            "--coil-turns", COIL_TURNS]
+    argv = {"calibrate": ["calibrate", *pair, "--out-model", tmp_path / "fit.model"],
+            "validate": ["validate", *pair],
+            "energy": ["energy", files / "internal.csv"],
+            "peak": ["peak", files / "boot.csv", "--threshold", 800]}[command]
+    rc, text, _ = run_on_both_paths(capsys, *argv)
+    assert rc == cli.EXIT_OK
+    assert [line.split(" = ")[0] for line in text.splitlines()] == PRINTED_ORDER[command]
+    # --json sorts its keys.
+    rc, out, _ = run_on_both_paths(capsys, *argv, "--json")
+    assert list(strict_json(out)) == sorted(PRINTED_ORDER[command])
 
 
 def test_peak_finds_boot_current(capsys, files):
@@ -1141,8 +1170,8 @@ def test_energy_loads_only_what_it_runs(tmp_path):
     for argv in (["energy", str(path), "--json"], ["energy", str(path), "--device", "nano"]):
         printed, loaded = run_fresh_cli(argv)
         assert "jetcal.ingest" in loaded
-        assert not {"numpy", "jetcal.regression", "jetcal.signal", "jetcal.sensor",
-                    "subprocess"} & loaded
+        assert not {"numpy", "dataclasses", "inspect", "jetcal.regression", "jetcal.signal",
+                    "jetcal.sensor", "subprocess"} & loaded
         # Past the size limit, energy loads numpy and prints the same lines.
         numpy_printed, numpy_loaded = run_fresh_cli(argv, limit=0)
         assert "numpy" in numpy_loaded
@@ -1158,8 +1187,8 @@ def test_apply_loads_only_what_it_runs(tmp_path):
         printed, loaded = run_fresh_cli(argv)
         written = out_csv.read_bytes()
         assert {"jetcal.ingest", "jetcal.models"} <= loaded
-        assert not {"numpy", "jetcal.regression", "jetcal.signal", "jetcal.sensor",
-                    "subprocess"} & loaded
+        assert not {"numpy", "dataclasses", "inspect", "jetcal.regression", "jetcal.signal",
+                    "jetcal.sensor", "subprocess"} & loaded
         # Past the size limit, apply loads numpy and prints and writes the same.
         numpy_printed, numpy_loaded = run_fresh_cli(argv, limit=0)
         assert "numpy" in numpy_loaded
@@ -1170,11 +1199,21 @@ def test_peak_loads_only_what_it_runs(files):
     argv = ["peak", str(files / "boot.csv"), "--threshold", "800", "--json"]
     printed, loaded = run_fresh_cli(argv)
     assert {"jetcal.ingest", "jetcal.signal"} <= loaded
-    assert not {"numpy", "jetcal.regression", "jetcal.models", "jetcal.sensor",
-                "subprocess"} & loaded
+    assert not {"numpy", "dataclasses", "inspect", "jetcal.regression", "jetcal.models",
+                "jetcal.sensor", "subprocess"} & loaded
     numpy_printed, numpy_loaded = run_fresh_cli(argv, limit=0)
     assert "numpy" in numpy_loaded and "numpy.ma" not in numpy_loaded
     assert numpy_printed == printed
+
+
+@pytest.mark.parametrize("command", ["calibrate", "validate"])
+def test_calibrate_and_validate_load_only_what_they_run(files, command):
+    argv = [command, str(files / "internal.csv"), str(files / "external.csv"),
+            "--device", "nano", "--coil-turns", str(COIL_TURNS)]
+    loaded = run_fresh_cli(argv)[1]
+    assert {"numpy", "jetcal.ingest", "jetcal.models", "jetcal.signal",
+            "jetcal.regression"} <= loaded
+    assert not {"dataclasses", "jetcal.sensor", "subprocess"} & loaded
 
 
 def test_record_loads_only_what_it_runs(tmp_path):
@@ -1182,7 +1221,9 @@ def test_record_loads_only_what_it_runs(tmp_path):
     loaded = loaded_modules(
         f"import jetcal.cli; assert jetcal.cli.main(['record', '--profile', "
         f"{str(profile)!r}, '--duration', '0.05', '--out', {str(out_csv)!r}]) == 0")
-    assert "jetcal.sensor" in loaded
+    # sensor.DeviceProfile is the one dataclass left: the benchmark rebuilds
+    # a profile with dataclasses.replace.
+    assert {"jetcal.sensor", "dataclasses"} <= loaded
     assert not {"numpy", "jetcal.ingest", "jetcal.models", "jetcal.regression",
                 "jetcal.signal", "subprocess"} & loaded
     assert len(ingest.parse_trace(out_csv, "internal_csv")) > 0

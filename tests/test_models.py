@@ -1,10 +1,11 @@
 """Calibration model core: registry, apply/invert, energy integration."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetcal.errors import (InsufficientDataError, InvalidReadingError,
@@ -12,7 +13,8 @@ from jetcal.errors import (InsufficientDataError, InvalidReadingError,
 from jetcal.models import (BOOT_PEAK_CURRENT_MA, BUILTIN_MODELS, CalibrationModel,
                            apply_columns, apply_trace, get_model,
                            integrate_energy, integrate_energy_columns, invert_model,
-                           load_models, parse_model_line, save_models)
+                           load_models, mean, mean_of_runs, parse_model_line,
+                           save_models)
 
 from conftest import columns_of, make_trace, oracle_trapezoid_mj
 
@@ -83,6 +85,27 @@ def test_negative_error_rejected():
 def test_device_id_canonicalized():
     m = CalibrationModel("  MyBoard ", 1.0, 0.0, 0.0)
     assert m.device == "myboard"
+
+
+@pytest.mark.parametrize("fields, message", [
+    # The device is checked first, whatever else is wrong.
+    ((" ", 0.0, math.nan, -1.0, "guessed"), "device id must be non-empty"),
+    (("nano", -1.0, 0.0, 0.0), "slope must be positive and finite, got -1.0"),
+    (("nano", 1.0, math.inf, 0.0), "intercept must be finite, got inf"),
+    (("nano", 1.0, 0.0, math.nan), "stated error must be >= 0, got nan"),
+    (("nano", 1.0, 0.0, 0.0, "guessed"), "provenance must be one of ('builtin', 'fitted')"),
+])
+def test_each_bad_field_raises_its_own_value_error(fields, message):
+    with pytest.raises(ValueError) as exc:
+        CalibrationModel(*fields)
+    assert str(exc.value) == message
+
+
+def test_models_compare_and_hash_field_by_field():
+    same = CalibrationModel(device=" NANO ", slope=1.11, intercept_mw=232.60,
+                            stated_error_pct=0.8, provenance="builtin")
+    assert same == NANO and hash(same) == hash(NANO)
+    assert CalibrationModel("nano", 1.11, 232.60, 0.8) != NANO
 
 
 # ── apply / invert ──────────────────────────────────────────────────────
@@ -308,3 +331,43 @@ def test_column_twins_match_apply_and_energy_bit_for_bit(values, gaps, t0, inter
     assert repr(outcome(apply_columns, model, columns_of(trace))) == repr(want)
     assert repr(outcome(integrate_energy_columns, columns_of(trace))) == \
         repr(outcome(integrate_energy, trace))
+
+
+# ── the mean by runs ────────────────────────────────────────────────────
+
+def oracle_mean(runs):
+    """The exact sum of runs of (value, count) rounded once, over the
+    count; inf past the float range."""
+    total = sum(Fraction(v) * n for v, n in runs)
+    try:
+        return float(total) / sum(n for _, n in runs)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+# Runs of signed zeros, subnormals, readings whose runs sum past the float
+# range, and any finite value.
+RUN_VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e305,
+                               -1e305, 1.7e308, -1.7e308])
+              | st.floats(-1e6, 1e6) | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(st.tuples(RUN_VALUES, st.integers(1, 40)), min_size=1, max_size=12))
+@example(runs=[(1.0, 1), (2.0, 1), (3.0, 1)])  # distinct values
+@example(runs=[(-0.0, 5), (-0.0, 1)])
+@example(runs=[(-0.0, 5), (0.0, 3)])
+@example(runs=[(5e-324, 7), (-2.225073858507201e-308, 9)])
+@example(runs=[(1e16, 3), (1.0, 30)])  # each 1.0 is lost to a running sum
+@example(runs=[(1.7e308, 3), (-1.7e308, 3)])  # products past the float range
+@example(runs=[(1.7e308, 1), (1e308, 3), (-1.7e308, 3)])  # partial sums past it
+@example(runs=[(8.988465674311579e307, 4)])  # a mean past the float range
+# Every mantissa bit set, in a run of 2**20 - 1, less the rounded run sum:
+# the mean is the rounding error of n * v over n + 1, exactly.
+@example(runs=[(1.9999999999999998, 2**20 - 1), (-(2**20 - 1) * 1.9999999999999998, 1)])
+def test_mean_of_runs_is_the_exact_mean_and_mean_bit_for_bit(runs):
+    values = np.repeat([v for v, _ in runs], [n for _, n in runs])
+    got = mean_of_runs(values)
+    # repr, so that the bits count: -0.0 == 0.0.
+    assert repr(got) == repr(mean(memoryview(values)))
+    assert got == oracle_mean(runs)

@@ -72,8 +72,14 @@ def test_decreasing_data_raises_suspicious_fit():
 def test_fitted_model_stated_error_is_training_mae(rng):
     x = rng.uniform(1000.0, 9000.0, 400)
     y = (2.0 * x + 100.0) * (1.0 + 0.02 * rng.standard_normal(len(x)))
-    report = fit(dataset(x, y))
+    report = fit(dataset(x, y, device=" Bench "))
     assert report.model.stated_error_pct == report.mae_pct
+    # Both models fit builds go through the validating constructor.
+    assert report.model == CalibrationModel("bench", report.model.slope,
+                                            report.model.intercept_mw, report.mae_pct)
+    assert type(report.model) is CalibrationModel
+    with pytest.raises(ValueError, match="device id must be non-empty"):
+        fit(dataset(x, y, device=" "))
 
 
 # ── OLS optimality and equivariance ─────────────────────────────────────
