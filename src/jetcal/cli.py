@@ -20,10 +20,9 @@ not `numpy.ma`. `calibrate` and `validate` load `ingest`, `models`,
 numpy, `signal` and `regression`, and `record` loads `sensor` only,
 which writes its CSV with the stdlib writer (a `replay:` profile also
 loads `ingest` and numpy to parse what it replays). Only `record --exec`
-loads `subprocess`, and only `record` loads `dataclasses`, which brings
-`inspect` and costs about 9 ms of start-up: the reports are NamedTuples,
-and `sensor.DeviceProfile` stays a dataclass because the benchmark
-rebuilds a profile with `dataclasses.replace`.
+loads `subprocess`. Only `record` loads `dataclasses` (about 9 ms, with
+`inspect`), for `sensor.DeviceProfile`, which the benchmark rebuilds
+with `dataclasses.replace`; the reports are NamedTuples.
 """
 
 from __future__ import annotations

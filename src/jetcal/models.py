@@ -15,10 +15,9 @@ numpy is imported only by the functions on a PowerTrace or an array.
 apply_columns and integrate_energy_columns are their stdlib twins on the
 TraceColumns of a small file, which `apply` and `energy` use there: the
 same float operations in the same order, so the same values and reports
-bit for bit, and the same errors. Both energy integrals sum their
-trapezoid areas with math.fsum. `mean`, which `apply` takes on a small
-file, is the fsum of its values over their count, and mean_of_runs, which
-it takes on numpy's path, is the same mean, bit for bit.
+bit for bit, and the same errors. Both energy integrals sum their areas
+with math.fsum; `apply` takes `mean`, their fsum over their count, on a
+small file and the same mean by runs, mean_of_runs, on numpy's path.
 """
 
 from __future__ import annotations
@@ -37,15 +36,9 @@ PROVENANCES = ("builtin", "fitted")
 NEGATIVE_CALIBRATED_WARNING = "negative_calibrated_values"
 
 
-class _ModelFields(NamedTuple):
-    device: str
-    slope: float
-    intercept_mw: float
-    stated_error_pct: float
-    provenance: str = "fitted"
-
-
-class CalibrationModel(_ModelFields):
+class CalibrationModel(NamedTuple("CalibrationModel", [
+        ("device", str), ("slope", float), ("intercept_mw", float),
+        ("stated_error_pct", float), ("provenance", str)])):
     """Per-device linear map from internal sensor mW to true mW.
 
     The constructor canonicalises the device id and refuses a bad field;
@@ -54,20 +47,18 @@ class CalibrationModel(_ModelFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        device = canonical_device_id(self.device)
-        if not (math.isfinite(self.slope) and self.slope > 0):
-            raise ValueError(f"slope must be positive and finite, got {self.slope}")
-        if not math.isfinite(self.intercept_mw):
-            raise ValueError(f"intercept must be finite, got {self.intercept_mw}")
-        if not (math.isfinite(self.stated_error_pct) and self.stated_error_pct >= 0):
-            raise ValueError(
-                f"stated error must be >= 0, got {self.stated_error_pct}"
-            )
-        if self.provenance not in PROVENANCES:
+    def __new__(cls, device: str, slope: float, intercept_mw: float,
+                stated_error_pct: float, provenance: str = "fitted"):
+        device = canonical_device_id(device)
+        if not (math.isfinite(slope) and slope > 0):
+            raise ValueError(f"slope must be positive and finite, got {slope}")
+        if not math.isfinite(intercept_mw):
+            raise ValueError(f"intercept must be finite, got {intercept_mw}")
+        if not (math.isfinite(stated_error_pct) and stated_error_pct >= 0):
+            raise ValueError(f"stated error must be >= 0, got {stated_error_pct}")
+        if provenance not in PROVENANCES:
             raise ValueError(f"provenance must be one of {PROVENANCES}")
-        return self._replace(device=device)
+        return super().__new__(cls, device, slope, intercept_mw, stated_error_pct, provenance)
 
 
 class EnergyReport(NamedTuple):
@@ -223,27 +214,20 @@ def mean(values) -> float:
 
 
 def mean_of_runs(values) -> float:
-    """mean of a finite float64 array, bit for bit, summed run by run.
-
-    A run of n equal values v adds n * hi + n * lo, where hi is v with its
-    low 27 mantissa bits cleared and lo = v - hi: both are exact for
-    n < 2**26. So a held trace, as `record` writes, costs its runs, not its
-    rows. Runs of three values or fewer on average (the break-even on a
-    2-vCPU x86 host), a longer run or a product past the float range
-    take mean itself.
-    """
+    """mean of a float64 array, bit for bit, at the cost of its runs: a run
+    of n values v adds n * hi + n * lo, where hi is v with its low 27
+    mantissa bits cleared and lo = v - hi, both exact for n < 2**26. A
+    longer run or a product past the float range takes mean itself."""
     import numpy as np
 
-    new_run = values.view(np.int64)[1:] != values.view(np.int64)[:-1]
-    if 3 * np.count_nonzero(new_run) < len(values):
-        starts = np.flatnonzero(np.insert(new_run, 0, True))
-        counts = np.diff(starts, append=len(values))
-        v = values[starts]
-        hi = (v.view(np.int64) & -(1 << 27)).view(np.float64)
-        with np.errstate(over="ignore"):
-            terms = np.concatenate((counts * hi, counts * (v - hi)))
-        if counts.max() < 1 << 26 and np.isfinite(terms).all():
-            return _fsum(memoryview(terms)) / len(values)
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.insert(bits[1:] != bits[:-1], 0, True))
+    counts = np.diff(starts, append=len(values))
+    hi = (bits[starts] & -(1 << 27)).view(np.float64)
+    with np.errstate(over="ignore"):
+        terms = np.concatenate((counts * hi, counts * (values[starts] - hi)))
+    if counts.max() < 1 << 26 and np.isfinite(terms).all():
+        return _fsum(memoryview(terms)) / len(values)
     return mean(memoryview(values))
 
 
@@ -251,14 +235,19 @@ def _fsum(areas) -> float:
     """math.fsum of the areas; nan where areas of inf and -inf meet.
 
     Where partial sums of finite areas pass the float range, fsum raises
-    OverflowError; the areas are then summed at 2**-64 scale, where they
-    cannot overflow, and the sum scaled back: to inf or -inf, or to the
-    total where that is in range.
+    OverflowError; the areas are then summed exactly, as integer multiples
+    of 2**-1074, and rounded once: to inf or -inf past the float range.
     """
     try:
         return math.fsum(areas)
     except OverflowError:
-        return _fsum([a * 2.0**-64 for a in areas]) * 2.0**64
+        if not all(map(math.isfinite, areas)):
+            return _fsum([a for a in areas if not math.isfinite(a)])
+        total = sum(n << 1075 - d.bit_length() for n, d in map(float.as_integer_ratio, areas))
+        try:
+            return total / (1 << 1074)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
     except ValueError:
         return math.nan
 

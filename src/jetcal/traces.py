@@ -12,10 +12,9 @@ a trace as stdlib arrays, for the numpy-free path of small files and for
 the live recorder; it is not validated either, because the parser and
 the sampler that build it check each row, and it writes its own CSV.
 numpy is imported only when a PowerTrace is built, so code that builds
-none, such as the live sampler, runs without loading it. Nor is any type
-here a dataclass, whose import costs a command about 9 ms: PowerTrace and
-PairedDataset, whose len() counts samples, are slotted classes that
-refuse assignment and compare by identity.
+none, such as the live sampler, runs without loading it. No type here is
+a dataclass, whose import costs a command about 9 ms: PowerTrace and
+PairedDataset are immutable slotted classes, equal only to themselves.
 """
 
 from __future__ import annotations
@@ -90,18 +89,22 @@ class TraceColumns(NamedTuple):
 
 
 class _Frozen:
-    """Slots set once, by __init__; assigning or deleting one later raises."""
+    """Sample columns in slots, which __init__ takes in order and sets once:
+    assigning or deleting one later raises. len() counts samples."""
 
     __slots__ = ()
 
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot change {name!r}: a {type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    def __len__(self) -> int:
+        return len(self.timestamps_us)
 
 
 class PowerTrace(_Frozen):
@@ -133,10 +136,7 @@ class PowerTrace(_Frozen):
             raise ValueError("all sample values must be finite")
         ts.setflags(write=False)
         vals.setflags(write=False)
-        self._set(device, source, unit, ts, vals)
-
-    def __len__(self) -> int:
-        return len(self.timestamps_us)
+        super().__init__(device, source, unit, ts, vals)
 
     @property
     def span_us(self) -> int:
@@ -155,13 +155,6 @@ class PairedDataset(_Frozen):
     """
 
     __slots__ = ("device", "timestamps_us", "internal_mw", "external_mw")
-
-    def __init__(self, device: str, timestamps_us: np.ndarray, internal_mw: np.ndarray,
-                 external_mw: np.ndarray):
-        self._set(device, timestamps_us, internal_mw, external_mw)
-
-    def __len__(self) -> int:
-        return len(self.timestamps_us)
 
 
 def canonical_device_id(name: str) -> str:

@@ -655,8 +655,10 @@ def test_a_number_past_the_float_range_exits_data(capsys, tmp_path, argv, rows, 
     (1, [6e307] * 5, "energy_mj is not finite: inf"),
     (1, [-6e307] * 5, "energy over the trace is negative: -inf mJ"),
     (1000, [1.7e308, 1.7e308, -1.7e308, -1.7e308], "energy_mj is not finite: nan"),
+    # Finite areas of 8.5e307 whose sum passes the float range, then an inf.
+    (1, [1.7e308, 0.0, 1.7e308, 0.0, 1.7e308, 1.7e308], "energy_mj is not finite: inf"),
 ], ids=["inf-areas", "minus-inf-areas", "finite-areas-past-the-range", "negated",
-        "inf-and-minus-inf-areas"])
+        "inf-and-minus-inf-areas", "inf-area-after-finite-areas-past-the-range"])
 def test_energy_past_the_float_range_exits_data_on_both_paths(capsys, monkeypatch, tmp_path,
                                                               path, gap_us, values, message):
     monkeypatch.setattr(cli, "SMALL_INPUT_BYTES", PATHS[path])

@@ -362,6 +362,11 @@ RUN_VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-30
 @example(runs=[(1.7e308, 3), (-1.7e308, 3)])  # products past the float range
 @example(runs=[(1.7e308, 1), (1e308, 3), (-1.7e308, 3)])  # partial sums past it
 @example(runs=[(8.988465674311579e307, 4)])  # a mean past the float range
+# Partial sums past the float range, of the runs' products or of the values
+# only, beside subnormals that a sum at a smaller scale would lose.
+@example(runs=[(1.5e308, 1), (1.4e308, 1), (-1.5e308, 1), (-1.4e308, 1), (2.0**-1011, 20)])
+@example(runs=[(1.7976931348623157e308, 1), (2.0**970, 1), (-1.7976931348623157e308, 1),
+               (-(2.0**970), 1), (5e-324, 7)])
 # Every mantissa bit set, in a run of 2**20 - 1, less the rounded run sum:
 # the mean is the rounding error of n * v over n + 1, exactly.
 @example(runs=[(1.9999999999999998, 2**20 - 1), (-(2**20 - 1) * 1.9999999999999998, 1)])
