@@ -238,6 +238,7 @@ def cmd_validate(args) -> dict:
 
 def cmd_apply(args) -> dict:
     from . import ingest, models
+    from .traces import PowerTrace
 
     _require_inputs(args.input_csv)
     _require_writable(args.out)
@@ -247,21 +248,20 @@ def cmd_apply(args) -> dict:
         from array import array
         from itertools import compress
 
-        from .traces import TraceColumns
+        from .traces import write_columns
 
-        raw = ingest.parse_columns(args.input_csv, "internal_csv")
-        n_read = len(raw.values)
+        raw = ingest.parse_columns(args.input_csv, "internal_csv", model.device)
+        n_read = len(raw)
         if skip:
             kept = [v >= 0 for v in raw.values]
-            raw = TraceColumns(raw.unit, array("q", compress(raw.timestamps_us, kept)),
-                               array("d", compress(raw.values, kept)))
+            raw = PowerTrace(raw.device, raw.source, raw.unit,
+                             array("q", compress(raw.timestamps_us, kept)),
+                             array("d", compress(raw.values, kept)))
         calibrated = models.apply_columns(model, raw)
-        calibrated.write_csv(args.out)
-        raw_values, values, mean = raw.values, calibrated.values, models.mean
-        negative = min(values, default=0.0) < 0
+        write_columns(calibrated, args.out)
+        mean = models.mean
+        negative = min(calibrated.values, default=0.0) < 0
     else:
-        from .traces import PowerTrace
-
         raw = ingest.parse_trace(args.input_csv, "internal_csv", model.device)
         n_read = len(raw)
         if skip:
@@ -270,18 +270,18 @@ def cmd_apply(args) -> dict:
                              raw.timestamps_us[kept], raw.values[kept])
         calibrated = models.apply_trace(model, raw)
         ingest.write_trace(calibrated, args.out)
-        raw_values, values, mean = raw.values, calibrated.values, models.mean_of_runs
+        mean = models.mean_of_runs
         negative = bool(calibrated.values.min(initial=0.0) < 0)
     result = {
         "device": model.device,
-        "n_samples": len(values),
-        "n_skipped": n_read - len(values),
+        "n_samples": len(calibrated),
+        "n_skipped": n_read - len(calibrated),
         "output": str(args.out),
     }
-    if len(values):
+    if len(calibrated):
         # Both paths take fsum means, so they print the same digits. A sum
         # past the float range makes a mean inf, which _emit refuses.
-        mean_raw, mean_cal = mean(raw_values), mean(values)
+        mean_raw, mean_cal = mean(raw.values), mean(calibrated.values)
         result["mean_raw_mw"] = mean_raw
         result["mean_calibrated_mw"] = mean_cal
         if mean_cal != 0.0:
@@ -295,18 +295,19 @@ def cmd_energy(args) -> dict:
     from . import ingest, models
 
     _require_inputs(args.input_csv)
-    small = _small_input(args.input_csv)
-    if small:
-        trace = ingest.parse_columns(args.input_csv, "internal_csv")
-    else:
-        trace = ingest.parse_trace(args.input_csv, "internal_csv", args.device or "unknown")
-    calibrated_with = "none"
+    model = None
     if args.device is not None or args.model_file is not None:
         model = _resolve_model(args.device, args.model_file)
+    device = "unknown" if model is None else model.device
+    small = _small_input(args.input_csv)
+    if small:
+        trace = ingest.parse_columns(args.input_csv, "internal_csv", device)
+    else:
+        trace = ingest.parse_trace(args.input_csv, "internal_csv", device)
+    if model is not None:
         trace = (models.apply_columns if small else models.apply_trace)(model, trace)
-        calibrated_with = model.device
     report = (models.integrate_energy_columns if small else models.integrate_energy)(trace)
-    return {**report._asdict(), "calibrated_with": calibrated_with}
+    return {**report._asdict(), "calibrated_with": "none" if model is None else model.device}
 
 
 def cmd_peak(args) -> dict:

@@ -43,7 +43,7 @@ from array import array
 from itertools import chain, islice
 
 from .errors import InvalidReadingError, ParseError, undecodable
-from .traces import CSV_COLUMNS, PowerTrace, TraceColumns
+from .traces import CSV_COLUMNS, PowerTrace
 
 DEFAULT_COIL_TURNS = 10
 
@@ -381,8 +381,8 @@ def _value_kind(header) -> tuple[str, str]:
     return ("internal", "mW") if header in _POWER else ("external", "mA")
 
 
-def parse_columns(path, fmt: str) -> TraceColumns:
-    """The unit and stdlib-array columns of a two-column trace file.
+def parse_columns(path, fmt: str, device: str = "unknown") -> PowerTrace:
+    """A two-column trace file as a trace of stdlib-array columns.
 
     Reads what parse_trace(path, "internal_csv") reads for "internal_csv"
     and what parse_value_trace reads for "value_csv", with the same checks
@@ -392,7 +392,7 @@ def parse_columns(path, fmt: str) -> TraceColumns:
     if fmt not in COLUMN_FORMATS:
         raise ValueError(f"format must be one of {tuple(COLUMN_FORMATS)}, got {fmt!r}")
     header, ts, values = _read_columns(path, COLUMN_FORMATS[fmt], stdlib=True)
-    return TraceColumns(_value_kind(header)[1], ts, values)
+    return PowerTrace(device, *_value_kind(header), ts, values)
 
 
 def write_trace(trace: PowerTrace, path) -> None:
@@ -402,7 +402,7 @@ def write_trace(trace: PowerTrace, path) -> None:
     rows go out _CHUNK_LINES at a time, and each run of equal values is
     formatted once, as a "%d" format of its rows, because a recorded trace
     re-reads one node value for many rows. Values are told apart by their
-    bits, so 0.0 and -0.0 keep their own repr. TraceColumns.write_csv is
+    bits, so 0.0 and -0.0 keep their own repr. traces.write_columns is
     its stdlib twin, and writes the same bytes.
     """
     import numpy as np

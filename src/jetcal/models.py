@@ -11,11 +11,12 @@ more than 50% under calibration, and a fitted model with a negative
 intercept may map tiny readings below zero. Such values are kept, and
 the `apply` command reports them with a warning flag.
 
-numpy is imported only by the functions on a PowerTrace or an array.
-apply_columns and integrate_energy_columns are their stdlib twins on the
-TraceColumns of a small file, which `apply` and `energy` use there: the
-same float operations in the same order, so the same values and reports
-bit for bit, and the same errors. Both energy integrals sum their areas
+numpy is imported only by the functions on a PowerTrace of numpy columns
+or on an array. apply_columns and integrate_energy_columns are their
+stdlib twins on the stdlib columns that ingest.parse_columns reads from
+a small file, which `apply` and `energy` use there: the same float
+operations in the same order, so the same values and reports bit for
+bit, and the same errors. Both energy integrals sum their areas
 with math.fsum; `apply` takes `mean`, their fsum over their count, on a
 small file and the same mean by runs, mean_of_runs, on numpy's path.
 """
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 from .errors import (InsufficientDataError, InvalidReadingError, ParseError,
                      UnknownDeviceError, undecodable)
-from .traces import PowerTrace, TraceColumns, canonical_device_id
+from .traces import PowerTrace, canonical_device_id
 
 PROVENANCES = ("builtin", "fitted")
 
@@ -131,8 +132,8 @@ def apply_trace(model: CalibrationModel, trace: PowerTrace) -> PowerTrace:
     return PowerTrace(trace.device, "calibrated", "mW", ts, calibrated)
 
 
-def apply_columns(model: CalibrationModel, trace: TraceColumns) -> TraceColumns:
-    """apply_trace of a trace's stdlib columns, without numpy.
+def apply_columns(model: CalibrationModel, trace: PowerTrace) -> PowerTrace:
+    """apply_trace of a trace of stdlib columns, without numpy.
 
     Maps each value with the same float operations, so the values come
     out bit for bit as apply_trace's, and raises the same errors.
@@ -147,7 +148,7 @@ def apply_columns(model: CalibrationModel, trace: TraceColumns) -> TraceColumns:
     if math.inf in calibrated:
         i = calibrated.index(math.inf)
         raise _unbounded_calibration(raw[i], ts[i], calibrated[i])
-    return TraceColumns("mW", ts, calibrated)
+    return PowerTrace(trace.device, "calibrated", "mW", ts, calibrated)
 
 
 def _invalid_reading(value: float, t: int) -> InvalidReadingError:
@@ -179,17 +180,16 @@ def integrate_energy(trace: PowerTrace) -> EnergyReport:
     return _energy_report(memoryview(areas), trace.span_us)
 
 
-def integrate_energy_columns(trace: TraceColumns) -> EnergyReport:
-    """integrate_energy of a trace's stdlib columns, without numpy.
+def integrate_energy_columns(trace: PowerTrace) -> EnergyReport:
+    """integrate_energy of a trace of stdlib columns, without numpy.
 
     The areas are the same float operations on the same values, so the
     report is integrate_energy's, bit for bit.
     """
-    ts, values = trace.timestamps_us, trace.values
-    _require_two(len(ts))
+    _require_two(len(trace))
     areas = [(t1 - t0) * (v1 + v0) / 2.0
-             for (t0, v0), (t1, v1) in pairwise(zip(ts, values))]
-    return _energy_report(areas, ts[-1] - ts[0])
+             for (t0, v0), (t1, v1) in pairwise(zip(trace.timestamps_us, trace.values))]
+    return _energy_report(areas, trace.span_us)
 
 
 def _require_two(n: int) -> None:
@@ -275,11 +275,14 @@ def save_models(models, path) -> None:
 
 
 def parse_model_line(line: str, path="<string>", lineno: int | None = None) -> CalibrationModel:
+    """One model record; an unknown, repeated or missing key is a ParseError."""
     fields = {}
     for token in line.split():
         key, sep, value = token.partition("=")
         if not sep or key not in _MODEL_FIELDS:
             raise ParseError(path, lineno, f"unexpected token {token!r} in model record")
+        if key in fields:
+            raise ParseError(path, lineno, f"{key} given twice in model record")
         fields[key] = value
     missing = [k for k in _MODEL_FIELDS if k not in fields]
     if missing:

@@ -9,7 +9,7 @@ A node path of the form `replay:<trace.csv>` swaps the filesystem reader
 for an in-memory replay of that trace, letting the whole pipeline run and
 be tested with no hardware attached. The sampler keeps no sample it
 delivers; `record` collects them in SampleBuffer, two append-only stdlib
-array columns, and writes them with TraceColumns.write_csv, the numpy-free
+array columns, and writes them with traces.write_columns, the numpy-free
 writer that `apply` uses on a small file, so recording loads no numpy.
 """
 
@@ -25,7 +25,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .errors import (ERROR_RATE_LIMIT, InsufficientDataError, ProfileError,
                      SamplerFailedError, SensorReadError, undecodable)
-from .traces import PowerSample, PowerTrace, TraceColumns, canonical_device_id
+from .traces import PowerSample, PowerTrace, canonical_device_id, write_columns
 
 MODES = ("whole_board", "sum_rails")
 UNIT_SCALE = {"mw": 1.0, "uw": 1e-3}
@@ -193,7 +193,7 @@ class SampleBuffer:
     Two stdlib array columns, int64 timestamps ('q') and float64 values
     ('d'), grow by append up to maxlen samples; dropped counts the samples
     that came after. The sampler's SamplerStats counts the samples taken.
-    write_csv hands the columns to TraceColumns.write_csv, which writes
+    write_csv hands the columns to traces.write_columns, which writes
     them without numpy.
     """
 
@@ -228,7 +228,8 @@ class SampleBuffer:
 
         The bytes are those of ingest.write_trace on to_trace().
         """
-        TraceColumns("mW", self._timestamps, self._values).write_csv(path)
+        write_columns(PowerTrace("unknown", "internal", "mW", self._timestamps, self._values),
+                      path)
 
 
 def run_sampler(profile: DeviceProfile, sink: Callable[[PowerSample], None],
@@ -308,6 +309,7 @@ _PROFILE_KEYS = tuple(f.name for f in fields(DeviceProfile))
 
 
 def load_profile(path) -> DeviceProfile:
+    """Read a profile file; an unknown or repeated key is a ProfileError."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -325,6 +327,8 @@ def load_profile(path) -> DeviceProfile:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep or key not in _PROFILE_KEYS:
             raise ProfileError(f"{path}:{lineno}: unexpected line {raw!r}")
+        if key in found:
+            raise ProfileError(f"{path}:{lineno}: {key} given twice")
         if key == "node_paths":
             found[key] = tuple(p.strip() for p in value.split(",") if p.strip())
         elif key == "time_scale":

@@ -5,9 +5,10 @@ time t covers timestamps in (t - window_us, t]; samples earlier than one
 full window after the trace start are dropped rather than averaged over a
 partial window, because partial windows have inflated variance.
 
-numpy is imported only by the functions on a PowerTrace.
-detect_peak_columns is detect_peak's stdlib twin on the TraceColumns of
-a small file: the same report, bit for bit, and the same errors.
+numpy is imported only by the functions on a PowerTrace of numpy columns.
+detect_peak_columns is detect_peak's stdlib twin on the stdlib columns
+that ingest.parse_columns reads from a small file: the same report, bit
+for bit, and the same errors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import (BaselineUndefinedError, EmptyOverlapError,
                      InsufficientDataError, InvalidReadingError, UnitError)
-from .traces import PairedDataset, PowerTrace, TraceColumns
+from .traces import PairedDataset, PowerTrace
 
 DEFAULT_WINDOW_US = 100_000
 DEFAULT_MAX_GAP_US = 10_000
@@ -44,6 +45,13 @@ def moving_average(trace: PowerTrace, window_us: int = DEFAULT_WINDOW_US) -> Pow
     to the length of the trace. The remaining error is second order in
     machine epsilon; the means are checked against a correctly rounded
     per-window mean to 1e-12 relative on traces of up to 2e6 samples.
+    That bound holds while the sum of |values| from the trace's start to
+    a window's end is at most about 1e15 times the window's own sum, as
+    on a trace whose values stay within a few decades of one another
+    (measured up to 2e5 rows). A trace that mixes magnitudes breaks it,
+    even with no scaling: 200 rows of 1e20 then 200 rows of 1e-3, 1 ms
+    apart, give a last 1 ms mean of 0.0010000020265579224 (2.0e-6
+    relative), and 1e300 then 1e-10 give 0.0.
     Where a prefix sum could pass the float range, the values are first
     scaled by a power of two, exactly, and the means scaled back, so any
     finite window mean comes out; a mean that is not finite still raises
@@ -191,10 +199,10 @@ def detect_peak(trace: PowerTrace, threshold: float) -> PeakReport:
     )
 
 
-def detect_peak_columns(trace: TraceColumns, threshold: float) -> PeakReport:
-    """detect_peak of a trace's stdlib columns, without numpy: the same
+def detect_peak_columns(trace: PowerTrace, threshold: float) -> PeakReport:
+    """detect_peak of a trace of stdlib columns, without numpy: the same
     report, bit for bit, and the same errors."""
-    _check_peak_inputs(len(trace.values), threshold)
+    _check_peak_inputs(len(trace), threshold)
     vals, ts = trace.values, trace.timestamps_us
     below = sorted(v for v in vals if v < threshold)
     if not below:

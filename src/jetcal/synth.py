@@ -15,6 +15,9 @@ import numpy as np
 from .models import CalibrationModel, invert_model
 from .traces import PowerTrace
 
+# The working range of the true power, in mW.
+_LO_MW, _HI_MW = 5000.0, 20000.0
+
 
 class PiecewisePower(NamedTuple):
     """True power as a sequence of hold and ramp segments.
@@ -38,24 +41,23 @@ class PiecewisePower(NamedTuple):
         return self.v_start_mw[idx] + (self.v_end_mw[idx] - self.v_start_mw[idx]) * frac
 
 
-def random_power_profile(duration_us: int, rng: np.random.Generator,
-                         lo_mw: float = 5000.0, hi_mw: float = 20000.0) -> PiecewisePower:
-    """Random mix of holds and ramps covering [lo_mw, hi_mw]."""
+def random_power_profile(duration_us: int, rng: np.random.Generator) -> PiecewisePower:
+    """Random mix of holds and ramps covering [_LO_MW, _HI_MW]."""
     starts, ends, v0s, v1s = [], [], [], []
     t = 0
-    level = float(rng.uniform(lo_mw, hi_mw))
+    level = float(rng.uniform(_LO_MW, _HI_MW))
     while t < duration_us:
         seg_len = int(rng.uniform(2e6, 8e6))
         seg_end = min(t + seg_len, duration_us)
         if rng.random() < 0.5:
             nxt = level
         else:
-            nxt = float(rng.uniform(lo_mw, hi_mw))
+            nxt = float(rng.uniform(_LO_MW, _HI_MW))
         starts.append(t)
         ends.append(seg_end)
         v0s.append(level)
         v1s.append(nxt)
-        level = float(rng.uniform(lo_mw, hi_mw)) if nxt == level else nxt
+        level = float(rng.uniform(_LO_MW, _HI_MW)) if nxt == level else nxt
         t = seg_end
     return PiecewisePower(
         np.array(starts, dtype=np.float64),
@@ -65,39 +67,34 @@ def random_power_profile(duration_us: int, rng: np.random.Generator,
     )
 
 
-def irregular_timestamps(duration_us: int, rng: np.random.Generator,
-                         min_gap_us: int = 1000, max_gap_us: int = 10000) -> np.ndarray:
-    """Strictly increasing timestamps with uniform random gaps."""
-    n_max = duration_us // min_gap_us + 1
-    gaps = rng.integers(min_gap_us, max_gap_us + 1, n_max)
+def irregular_timestamps(duration_us: int, rng: np.random.Generator) -> np.ndarray:
+    """Strictly increasing timestamps with uniform random gaps of 1-10 ms."""
+    n_max = duration_us // 1000 + 1
+    gaps = rng.integers(1000, 10_001, n_max)
     ts = np.cumsum(gaps)
     return ts[ts <= duration_us].astype(np.int64)
 
 
 def synthetic_pair(model: CalibrationModel, duration_us: int = 120_000_000,
-                   seed: int = 0,
-                   internal_noise: float = 0.01,
-                   external_noise: float = 0.005,
-                   external_interval_us: int = 1000,
-                   lo_mw: float = 5000.0, hi_mw: float = 20000.0,
-                   ) -> tuple[PowerTrace, PowerTrace, PiecewisePower]:
+                   seed: int = 0) -> tuple[PowerTrace, PowerTrace, PiecewisePower]:
     """Internal (raw) and external (reference) streams for one true profile.
 
     The internal stream is the model inverse of the true power, sampled
-    at irregular 1-10 ms intervals with multiplicative Gaussian noise;
-    the external stream samples the true power every millisecond with its
-    own, smaller, noise. Returns (internal, external, truth).
+    at irregular 1-10 ms intervals with multiplicative Gaussian noise of
+    1% standard deviation; the external stream samples the true power
+    every millisecond with its own noise of 0.5%. Returns (internal,
+    external, truth).
     """
     rng = np.random.default_rng(seed)
-    truth = random_power_profile(duration_us, rng, lo_mw, hi_mw)
+    truth = random_power_profile(duration_us, rng)
 
     int_ts = irregular_timestamps(duration_us, rng)
     raw = invert_model(model, truth.at(int_ts))
-    raw = raw * (1.0 + internal_noise * rng.standard_normal(len(raw)))
+    raw = raw * (1.0 + 0.01 * rng.standard_normal(len(raw)))
 
-    ext_ts = np.arange(0, duration_us + 1, external_interval_us, dtype=np.int64)
+    ext_ts = np.arange(0, duration_us + 1, 1000, dtype=np.int64)
     ext = truth.at(ext_ts)
-    ext = ext * (1.0 + external_noise * rng.standard_normal(len(ext)))
+    ext = ext * (1.0 + 0.005 * rng.standard_normal(len(ext)))
 
     internal = PowerTrace(model.device, "internal", "mW", int_ts, raw)
     external = PowerTrace(model.device, "external", "mW", ext_ts, ext)

@@ -16,7 +16,7 @@ from math import fsum
 import numpy as np
 import pytest
 
-from jetcal.traces import PowerTrace, TraceColumns
+from jetcal.traces import PowerTrace
 
 
 @pytest.fixture
@@ -30,10 +30,18 @@ def make_trace(ts, values, device="nano", source="internal", unit="mW"):
                       np.asarray(values, dtype=np.float64))
 
 
-def columns_of(trace: PowerTrace) -> TraceColumns:
-    """The trace's columns as the stdlib arrays ingest.parse_columns returns."""
-    return TraceColumns(trace.unit, array("q", trace.timestamps_us.tolist()),
-                        array("d", trace.values.tolist()))
+def columns_of(trace: PowerTrace) -> PowerTrace:
+    """The trace with its columns as the stdlib arrays ingest.parse_columns returns."""
+    return PowerTrace(trace.device, trace.source, trace.unit,
+                      array("q", trace.timestamps_us.tolist()), array("d", trace.values.tolist()))
+
+
+def fields_of(trace: PowerTrace):
+    """A trace's metadata and its columns as Python ints and value reprs,
+    so that two traces compare alike whatever their columns' type, and
+    -0.0 differs from 0.0."""
+    return (trace.device, trace.source, trace.unit, [int(t) for t in trace.timestamps_us],
+            [repr(float(v)) for v in trace.values])
 
 
 def oracle_window_mean(ts, values, t, window_us):

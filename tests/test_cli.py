@@ -29,7 +29,7 @@ from jetcal.models import (BOOT_PEAK_CURRENT_MA, get_model, integrate_energy,
                            save_models)
 from jetcal.traces import PowerTrace
 
-from conftest import oracle_trace_csv
+from conftest import make_trace, oracle_trace_csv
 
 NANO = get_model("nano")
 SUPPLY_V = 5.0
@@ -323,6 +323,16 @@ def test_unknown_device_exits_config(capsys, files, tmp_path):
     assert_one_error_line(err, "unknown device 'pluto'")
 
 
+@pytest.mark.parametrize("command", ["energy", "apply"])
+def test_the_model_is_resolved_before_the_input_is_parsed(capsys, tmp_path, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("timestamp_us,power_mw\n0,abc\n")
+    out = ("--out", tmp_path / "x.csv") if command == "apply" else ()
+    rc, printed, err = run_on_both_paths(capsys, command, bad, "--device", "bogus", *out)
+    assert (rc, printed) == (cli.EXIT_CONFIG, "")
+    assert_one_error_line(err, "unknown device 'bogus'")
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--model", "{model}", "--device", "pluto"),
      "device 'pluto' not in {model} (has: nano, tx2)"),
@@ -459,8 +469,7 @@ def test_malformed_row_exits_data(capsys, files, tmp_path):
 
 def power_csv(path, values):
     """A power_mw CSV of values 1 ms apart from t=0."""
-    ts = 1000 * np.arange(len(values))
-    ingest.write_trace(PowerTrace("nano", "internal", "mW", ts, values), path)
+    ingest.write_trace(make_trace(1000 * np.arange(len(values)), values), path)
     return path
 
 
@@ -1152,6 +1161,15 @@ def run_fresh(code):
 def loaded_modules(code):
     """The names in sys.modules of a fresh interpreter after it runs code."""
     return run_fresh(code)[1]
+
+
+def test_a_trace_of_stdlib_columns_loads_no_numpy():
+    printed, loaded = run_fresh(
+        "from array import array\nfrom jetcal.traces import PowerTrace\n"
+        "trace = PowerTrace('nano', 'internal', 'mW', array('q', [0, 5]), array('d', [1.0, 2.0]))\n"
+        "print(len(trace), trace.span_us)")
+    assert printed == ["2 5"]
+    assert "numpy" not in loaded
 
 
 def test_building_the_parser_loads_no_numpy_and_no_pipeline_module():

@@ -13,9 +13,8 @@ from jetcal.errors import (DegenerateDataError, InsufficientDataError,
 from jetcal.models import BUILTIN_MODELS, CalibrationModel, invert_model
 from jetcal.regression import DEFAULT_LOW_POWER_FLOOR_MW, PairedDataset, evaluate, fit
 from jetcal.signal import align
-from jetcal.traces import PowerTrace
 
-from conftest import oracle_ols, oracle_sum_squared_residuals
+from conftest import make_trace, oracle_ols, oracle_sum_squared_residuals
 
 NANO = BUILTIN_MODELS["nano"]
 ORIN = BUILTIN_MODELS["agx-orin"]
@@ -224,11 +223,13 @@ def test_metric_invariants_hold(rng):
 # ── dataset invariants ──────────────────────────────────────────────────
 
 def test_dataset_rejects_negative_and_non_finite():
-    # align, the dataset's one producer, refuses a negative pair, and the
-    # traces it aligns refuse non-finite values.
+    # align, the dataset's one producer, refuses a negative pair and a
+    # reference value that is not finite; the parsers and moving_average
+    # refuse a non-finite internal value before align sees it.
     ts = np.arange(3) * 1000
-    external = PowerTrace("nano", "external", "mW", ts, [1.0, 2.0, 3.0])
-    with pytest.raises(InvalidReadingError):
-        align(PowerTrace("nano", "internal", "mW", ts, [1.0, -2.0, 3.0]), external)
-    with pytest.raises(ValueError):
-        PowerTrace("nano", "internal", "mW", ts, [1.0, float("inf"), 3.0])
+    external = make_trace(ts, [1.0, 2.0, 3.0], source="external")
+    with pytest.raises(InvalidReadingError, match="internal power -2.0 mW at t=1000 us"):
+        align(make_trace(ts, [1.0, -2.0, 3.0]), external)
+    with pytest.raises(InvalidReadingError, match="external power inf mW at t=1000 us"):
+        align(make_trace(ts, [1.0, 2.0, 3.0]),
+              make_trace(ts, [1.0, float("inf"), 3.0], source="external"))

@@ -393,6 +393,14 @@ def test_removed_profile_keys_rejected_at_their_line(tmp_path, line):
     assert str(exc.value) == f"{path}:4: unexpected line {line!r}"
 
 
+@pytest.mark.parametrize("line", ["device = tx2", "node_paths = b"])
+def test_a_key_given_twice_is_rejected_at_its_line(tmp_path, line):
+    path = write_profile(tmp_path / "twice", *HEADER, "node_paths = a", line)
+    with pytest.raises(ProfileError) as exc:
+        sensor.load_profile(path)
+    assert str(exc.value) == f"{path}:4: {line.split()[0]} given twice"
+
+
 # ── the calls the benchmark's traced record run makes ───────────────────
 
 def test_traced_record_calls_still_work(tmp_path):

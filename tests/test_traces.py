@@ -1,4 +1,6 @@
-"""The record and trace types: immutability, length, equality, validation."""
+"""The record and trace types: immutability, length and equality."""
+
+from array import array
 
 import numpy as np
 import pytest
@@ -50,15 +52,14 @@ def test_no_column_can_be_deleted(name):
         del INSTANCES[name].timestamps_us
 
 
-def test_a_trace_counts_its_samples_and_its_columns_stay_read_only():
-    ts, values = [0, 10, 20], [1.0, 2.0, 3.0]
-    trace = PowerTrace(device="nano", source="internal", unit="mW", timestamps_us=ts,
-                       values=values)
+def test_a_trace_counts_its_samples_and_keeps_its_columns():
+    # A trace holds the very columns it is given, unconverted and unchecked.
+    ts, values = array("q", [0, 10, 20]), array("d", [1.0, 2.0, 3.0])
+    trace = PowerTrace("nano", "internal", "mW", ts, values)
     assert (len(trace), trace.span_us) == (3, 20)
-    assert (trace.timestamps_us.dtype, trace.values.dtype) == (np.int64, np.float64)
-    for column in (trace.timestamps_us, trace.values):
-        with pytest.raises(ValueError, match="read-only"):
-            column[0] = 5
+    assert trace.timestamps_us is ts and trace.values is values
+    with pytest.raises(ValueError):
+        PowerTrace("nano", "internal", "mW", ts)
 
 
 def test_traces_and_datasets_compare_by_identity():
@@ -66,19 +67,3 @@ def test_traces_and_datasets_compare_by_identity():
     assert TRACE == TRACE and TRACE != twin and len({TRACE, twin}) == 2
     pairs = dataset()
     assert len(pairs) == 3 and pairs == pairs and pairs != dataset()
-
-
-@pytest.mark.parametrize("args, message", [
-    (("nano", "scope", "mW", [0], [1.0]),
-     "source must be one of ('internal', 'external', 'calibrated'), got 'scope'"),
-    (("nano", "internal", "V", [0], [1.0]), "unit must be one of ('mW', 'mA'), got 'V'"),
-    (("nano", "internal", "mW", [0, 1], [1.0]),
-     "timestamps and values must be 1-d arrays of equal length"),
-    (("nano", "internal", "mW", [-1], [1.0]), "timestamps must be non-negative"),
-    (("nano", "internal", "mW", [0, 0], [1.0, 2.0]), "timestamps must be strictly increasing"),
-    (("nano", "internal", "mW", [0], [np.nan]), "all sample values must be finite"),
-])
-def test_each_bad_trace_raises_its_own_value_error(args, message):
-    with pytest.raises(ValueError) as exc:
-        PowerTrace(*args)
-    assert str(exc.value) == message
