@@ -15,11 +15,12 @@ imports what it runs when it starts. `apply` and `energy` load `ingest`
 and `models`, and `peak` loads `ingest` and `signal` only. On a regular
 file of at most SMALL_INPUT_BYTES the three run without numpy, on the
 stdlib twins of the parser, of their models or signal functions and,
-for `apply`, of the CSV writer; on any other input they load numpy, but
-not `numpy.ma`. `calibrate` and `validate` load `ingest`, `models`,
-numpy, `signal` and `regression`, and `record` loads `sensor` only,
-which writes its CSV with the stdlib writer (a `replay:` profile also
-loads `ingest` and numpy to parse what it replays). Only `record --exec`
+for `apply`, of the CSV writer's run finder; on any other input they
+load numpy, but not `numpy.ma`. `calibrate` and `validate` load
+`ingest`, `models`, numpy, `signal` and `regression`, and `record` loads
+`sensor` only, which writes its CSV with the stdlib run finder (a
+`replay:` profile also loads `ingest` and numpy to parse what it
+replays). The one CSV writer is traces.write_csv. Only `record --exec`
 loads `subprocess`. Only `record` loads `dataclasses` (about 9 ms, with
 `inspect`), for `sensor.DeviceProfile`, which the benchmark rebuilds
 with `dataclasses.replace`; the reports are NamedTuples.

@@ -10,10 +10,10 @@ microsecond timestamps:
 The external variant is auto-detected from the header. Duplicate or
 out-of-order timestamps are rejected: they indicate a logging fault that
 averaging would silently mask. A file with several faults fails with a
-ParseError naming the first bad line in file order. Floats are written
-with repr(), which round-trips exactly; the writer formats each run of
-equal values once per chunk of rows, because a recorded trace holds each
-node value for many polls.
+ParseError naming the first bad line in file order. write_trace writes
+a trace of numpy columns with traces.write_csv, the one trace CSV writer,
+and finds each chunk's runs of equal values with numpy. Floats are
+written with repr(), which round-trips exactly.
 
 The row loop reads a body with csv, int() and float(), and checks each
 row as it reads it. parse_columns reads every body with it alone, into
@@ -42,30 +42,26 @@ import warnings
 from array import array
 from itertools import chain, islice
 
+from . import traces
 from .errors import InvalidReadingError, ParseError, undecodable
 from .traces import CSV_COLUMNS, PowerTrace
 
 DEFAULT_COIL_TURNS = 10
 
-# A header table maps each accepted header to one entry per value column:
-# the wording of that column's error for a negative value, or None where
-# negative values are allowed.
-_POWER = {("timestamp_us", "power_mw"): (None,)}
-_EXTERNAL = {("timestamp_us", "voltage_v", "current_a"):
-             ("DC supply voltage must be >= 0, got {}", None), **_POWER}
-_VALUE = {**_POWER, ("timestamp_us", "current_ma"): (None,)}
-TRACE_FORMATS = {"internal_csv": _POWER, "external_csv": _EXTERNAL}
-# The header tables of parse_columns: parse_trace's internal_csv, and the
-# two headers of parse_value_trace.
-COLUMN_FORMATS = {"internal_csv": _POWER, "value_csv": _VALUE}
+# The header table of each format maps each accepted header to one entry
+# per value column: the wording of that column's error for a negative
+# value, or None where negative values are allowed. parse_trace reads
+# internal_csv and external_csv, parse_value_trace value_csv, and
+# parse_columns internal_csv and value_csv.
+_POWER = {("timestamp_us", CSV_COLUMNS["mW"]): (None,)}
+FORMATS = {
+    "internal_csv": _POWER,
+    "external_csv": {("timestamp_us", "voltage_v", "current_a"):
+                     ("DC supply voltage must be >= 0, got {}", None), **_POWER},
+    "value_csv": {**_POWER, ("timestamp_us", CSV_COLUMNS["mA"]): (None,)},
+}
 
 _MAX = sys.float_info.max
-
-# Body lines handed to np.loadtxt at a time, and rows formatted per write:
-# few enough that a rejected file's row loop starts near its bad line and
-# that a write holds a bounded text, many enough that the calls cost
-# nothing next to the parsing and formatting.
-_CHUNK_LINES = 8192
 
 # A chunk is held, and its value cells read as text (see _loadtxt_body),
 # when at most one value cell in _HELD_CELLS of the chunk before it
@@ -175,7 +171,7 @@ def _loadtxt_reads_as_rows(path) -> bool:
 def _read_columns(path, table, stdlib=False):
     """Header, timestamps and values of the body, row after row.
 
-    The header must be one of the header table's (see _POWER), which
+    The header must be one of the header table's (see FORMATS), which
     gives the sign rules of its value columns. The header is read with
     csv. With `stdlib`, the row loop, _read_rows, reads the body whole,
     and the columns are its array('q') timestamps and flat array('d')
@@ -219,7 +215,7 @@ def _as_numpy(ts, flat, k):
 
 
 def _loadtxt_body(path, fh, header, signs, line):
-    """The fast path: the body's columns, _CHUNK_LINES lines per np.loadtxt call.
+    """The fast path: the body's columns, traces.CHUNK_ROWS lines per np.loadtxt call.
 
     Each chunk's columns are checked against the row before it. From the
     first chunk that loadtxt cannot parse or whose columns break a rule,
@@ -242,7 +238,7 @@ def _loadtxt_body(path, fh, header, signs, line):
     parts, prev, held = [(np.empty(0, np.int64), np.empty((0, k)))], -1, False
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        for lines in iter(lambda: list(islice(fh, _CHUNK_LINES)), []):
+        for lines in iter(lambda: list(islice(fh, traces.CHUNK_ROWS)), []):
             try:
                 values = None
                 if held:
@@ -358,9 +354,7 @@ def parse_trace(path, fmt: str, device: str = "unknown",
 
     internal_csv gives an internal mW trace, external_csv an external one.
     """
-    if fmt not in TRACE_FORMATS:
-        raise ValueError(f"format must be one of {tuple(TRACE_FORMATS)}, got {fmt!r}")
-    _, ts, values = _read_columns(path, TRACE_FORMATS[fmt])
+    _, ts, values = _read_columns(path, _table(fmt, ("internal_csv", "external_csv")))
     if values.shape[1] == 2:
         return power_from_channels(ts, values[:, 0], values[:, 1], coil_turns, device)
     return PowerTrace(device, fmt.removesuffix("_csv"), "mW", ts, values[:, 0])
@@ -372,7 +366,7 @@ def parse_value_trace(path, device: str = "unknown") -> PowerTrace:
     Accepts timestamp_us,power_mw (a mW trace) or timestamp_us,current_ma
     (a mA trace, e.g. a boot-current capture).
     """
-    header, ts, values = _read_columns(path, _VALUE)
+    header, ts, values = _read_columns(path, FORMATS["value_csv"])
     return PowerTrace(device, *_value_kind(header), ts, values[:, 0])
 
 
@@ -389,32 +383,27 @@ def parse_columns(path, fmt: str, device: str = "unknown") -> PowerTrace:
     and ParseErrors, through the row loop alone and without numpy, which
     costs more to import than the loop spends on a small file.
     """
-    if fmt not in COLUMN_FORMATS:
-        raise ValueError(f"format must be one of {tuple(COLUMN_FORMATS)}, got {fmt!r}")
-    header, ts, values = _read_columns(path, COLUMN_FORMATS[fmt], stdlib=True)
+    header, ts, values = _read_columns(path, _table(fmt, ("internal_csv", "value_csv")),
+                                       stdlib=True)
     return PowerTrace(device, *_value_kind(header), ts, values)
 
 
-def write_trace(trace: PowerTrace, path) -> None:
-    """Write a mW trace as internal_csv or a mA trace as a current CSV.
+def _table(fmt: str, names: tuple[str, ...]):
+    """The header table of fmt, which must be one of the names a parser takes."""
+    if fmt not in names:
+        raise ValueError(f"format must be one of {names}, got {fmt!r}")
+    return FORMATS[fmt]
 
-    Each row is f"{t},{v!r}\\n", as one row at a time would write it. The
-    rows go out _CHUNK_LINES at a time, and each run of equal values is
-    formatted once, as a "%d" format of its rows, because a recorded trace
-    re-reads one node value for many rows. Values are told apart by their
-    bits, so 0.0 and -0.0 keep their own repr. traces.write_columns is
-    its stdlib twin, and writes the same bytes.
-    """
+
+def write_trace(trace: PowerTrace, path) -> None:
+    """traces.write_csv of a trace of numpy columns, whose runs numpy finds."""
+    traces.write_csv(trace, path, _array_runs)
+
+
+def _array_runs(chunk):
+    """(value, run length) of each run of equal value bits in a float64 array."""
     import numpy as np
 
-    ts, values = trace.timestamps_us, trace.values
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"timestamp_us,{CSV_COLUMNS[trace.unit]}\n")
-        for start in range(0, len(ts), _CHUNK_LINES):
-            chunk = values[start:start + _CHUNK_LINES]
-            bits = chunk.view(np.int64)
-            starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
-            runs = zip(chunk[starts].tolist(), np.diff(starts, append=len(chunk)).tolist())
-            # A float's repr() holds no "%", so a cell needs no escaping.
-            rows = "".join([f"%d,{v!r}\n" * n for v, n in runs])
-            fh.write(rows % tuple(ts[start:start + _CHUNK_LINES].tolist()))
+    bits = chunk.view(np.int64)
+    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    return zip(chunk[starts].tolist(), np.diff(starts, append=len(chunk)).tolist())

@@ -139,14 +139,15 @@ def apply_columns(model: CalibrationModel, trace: PowerTrace) -> PowerTrace:
     out bit for bit as apply_trace's, and raises the same errors.
     """
     raw, ts = trace.values, trace.timestamps_us
-    if raw and min(raw) < 0:
-        i = next(i for i, v in enumerate(raw) if v < 0)
-        raise _invalid_reading(raw[i], ts[i])
     slope, intercept = model.slope, model.intercept_mw
-    # A non-negative reading maps to a finite value or to +inf.
     calibrated = array("d", [slope * v + intercept for v in raw])
-    if math.inf in calibrated:
-        i = calibrated.index(math.inf)
+    # min() skips a NaN after the first value, but where every output is
+    # finite no reading is a NaN.
+    if not (all(map(math.isfinite, calibrated)) and min(raw, default=0.0) >= 0):
+        i = next((i for i, v in enumerate(raw) if v < 0), None)
+        if i is not None:
+            raise _invalid_reading(raw[i], ts[i])
+        i = [*map(math.isfinite, calibrated)].index(False)
         raise _unbounded_calibration(raw[i], ts[i], calibrated[i])
     return PowerTrace(trace.device, "calibrated", "mW", ts, calibrated)
 

@@ -9,8 +9,8 @@ A node path of the form `replay:<trace.csv>` swaps the filesystem reader
 for an in-memory replay of that trace, letting the whole pipeline run and
 be tested with no hardware attached. The sampler keeps no sample it
 delivers; `record` collects them in SampleBuffer, two append-only stdlib
-array columns, and writes them with traces.write_columns, the numpy-free
-writer that `apply` uses on a small file, so recording loads no numpy.
+array columns, and writes them with traces.write_columns, which finds
+their runs without numpy, so recording loads no numpy.
 """
 
 from __future__ import annotations
@@ -193,8 +193,7 @@ class SampleBuffer:
     Two stdlib array columns, int64 timestamps ('q') and float64 values
     ('d'), grow by append up to maxlen samples; dropped counts the samples
     that came after. The sampler's SamplerStats counts the samples taken.
-    write_csv hands the columns to traces.write_columns, which writes
-    them without numpy.
+    write_csv writes the columns without numpy.
     """
 
     def __init__(self, maxlen: int = 1_000_000):
@@ -224,10 +223,9 @@ class SampleBuffer:
                           np.frombuffer(self._values[:], dtype=np.float64))
 
     def write_csv(self, path) -> None:
-        """Write the kept samples as an internal_csv file.
-
-        The bytes are those of ingest.write_trace on to_trace().
-        """
+        """Write the kept samples as an internal_csv file with
+        traces.write_columns, the trace CSV writer with the stdlib run
+        finder."""
         write_columns(PowerTrace("unknown", "internal", "mW", self._timestamps, self._values),
                       path)
 

@@ -1,4 +1,4 @@
-"""Core trace types: power readings, ordered traces and aligned pairs.
+"""Trace types: readings, ordered traces and aligned pairs; the CSV writer.
 
 Timestamps are integer microseconds since the epoch so that two streams
 recorded on a shared network clock can be aligned without float rounding.
@@ -7,28 +7,32 @@ Values are float64 in the trace's unit (mW or mA).
 PowerTrace is the one trace type. Its columns are array('q') and
 array('d') where the row loop or the sampler built them, for the
 numpy-free path of small files and for the live recorder, and int64 and
-float64 numpy arrays elsewhere; write_columns writes a trace of stdlib
-columns as CSV without numpy. PowerSample is one reading, as the live
+float64 numpy arrays elsewhere. PowerSample is one reading, as the live
 sampler delivers it. Neither is validated: each producer checks what it
 builds, so the timestamps are >= 0 and strictly increase, and the
 values are finite. No type here imports numpy or is a dataclass, whose
 import costs a command about 9 ms: PowerTrace and PairedDataset are
 immutable slotted classes, equal only to themselves.
+
+write_csv writes every trace CSV. write_columns gives it the stdlib run
+finder, for stdlib columns, and ingest.write_trace the numpy one.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import compress
-from operator import ne
+from itertools import compress, repeat
+from operator import ne, sub
 from typing import NamedTuple
 
 # The header of a written trace's value column, by the trace's unit.
 CSV_COLUMNS = {"mW": "power_mw", "mA": "current_ma"}
 
-# Rows write_columns formats at a time, so that the text of one
-# write stays small.
-_WRITE_ROWS = 8192
+# Rows write_csv formats at a time, and body lines ingest hands to
+# np.loadtxt at a time: few enough that a write holds a bounded text and
+# that a rejected file's row loop starts near its bad line, many enough
+# that the calls cost nothing next to the formatting and parsing.
+CHUNK_ROWS = 8192
 
 
 class PowerSample(NamedTuple):
@@ -96,32 +100,38 @@ def canonical_device_id(name: str) -> str:
     return canon
 
 
-def write_columns(trace: PowerTrace, path) -> None:
-    """Write a mW trace of stdlib columns as internal_csv, or a mA one as
-    a current CSV.
+def write_csv(trace: PowerTrace, path, runs) -> None:
+    """Write a mW trace as internal_csv, or a mA one as a current CSV.
 
-    The bytes are those of ingest.write_trace: each row is
-    f"{t},{v!r}\\n". Rows go out _WRITE_ROWS at a time, as a "%d"
-    format of the chunk's timestamps. A chunk in which more than five
-    rows in six start a new run of equal value bits formats each value
-    once; any other chunk formats each run once, because a recorded
-    trace re-reads one node value for many rows. Measured on a 2-vCPU
-    x86 host, the two break even when 80-90% of the rows start a run.
-    Runs are told apart by value bits, so 0.0 and -0.0 keep their own
-    repr.
+    Each row is f"{t},{v!r}\\n", as one row at a time would write it.
+    The rows go out CHUNK_ROWS at a time, as a "%d" format of the chunk's
+    timestamps, in which each (v, n) pair of runs(chunk) formats v once
+    for n rows, because a recorded trace re-reads one node value for many
+    rows. runs must tell values apart by their bits, so that 0.0 and -0.0
+    keep their own repr.
     """
-    ts, values = trace.timestamps_us, trace.values
+    ts = trace.timestamps_us
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"timestamp_us,{CSV_COLUMNS[trace.unit]}\n")
-        for start in range(0, len(values), _WRITE_ROWS):
-            end = start + _WRITE_ROWS
-            chunk = values[start:end]
-            bits = array("q", chunk.tobytes())
-            starts = [0, *compress(range(1, len(bits)), map(ne, bits[1:], bits))]
-            if 6 * len(starts) > 5 * len(chunk):
-                cells = [f"%d,{v!r}\n" for v in chunk]
-            else:
-                runs = zip(starts, [*starts[1:], len(chunk)])
-                cells = [f"%d,{chunk[i]!r}\n" * (j - i) for i, j in runs]
+        for start in range(0, len(ts), CHUNK_ROWS):
+            end = start + CHUNK_ROWS
             # A float's repr() holds no "%", so a cell needs no escaping.
-            fh.write("".join(cells) % tuple(ts[start:end]))
+            rows = "".join([f"%d,{v!r}\n" * n for v, n in runs(trace.values[start:end])])
+            fh.write(rows % tuple(ts[start:end].tolist()))
+
+
+def write_columns(trace: PowerTrace, path) -> None:
+    """write_csv of a trace of stdlib columns, without numpy."""
+    write_csv(trace, path, _column_runs)
+
+
+def _column_runs(chunk):
+    """(value, run length) of each run of equal value bits in an
+    array('d'), or (value, 1) of each value when more than five rows in
+    six start a run: measured on a 2-vCPU x86 host, formatting each value
+    and each run break even when 80-90% of the rows start a run."""
+    bits = array("q", chunk.tobytes())
+    starts = [0, *compress(range(1, len(bits)), map(ne, bits[1:], bits))]
+    if 6 * len(starts) > 5 * len(chunk):
+        return zip(chunk, repeat(1))
+    return zip([chunk[i] for i in starts], map(sub, [*starts[1:], len(chunk)], starts))

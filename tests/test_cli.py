@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from jetcal import cli, ingest, regression, sensor, synth
+from jetcal import cli, ingest, regression, sensor, synth, traces
 from jetcal import signal as sig
 from jetcal.models import (BOOT_PEAK_CURRENT_MA, get_model, integrate_energy,
                            save_models)
@@ -226,7 +226,7 @@ def test_apply_writes_a_recorded_trace_as_the_oracle(capsys, tmp_path):
     # A record's shape: a node that updates every 1-10 ms, polled every
     # 10-40 us, so each integer-mW value repeats for many rows.
     rng = np.random.default_rng(5)
-    ts = 1_700_000_000_000_000 + np.cumsum(rng.integers(10, 41, 3 * ingest._CHUNK_LINES))
+    ts = 1_700_000_000_000_000 + np.cumsum(rng.integers(10, 41, 3 * traces.CHUNK_ROWS))
     updates = ts[0] + np.cumsum(rng.integers(1_000, 10_001, len(ts)))
     levels = np.round(rng.uniform(2_000.0, 15_000.0, len(ts) + 1))
     raw = PowerTrace("nano", "internal", "mW", ts, levels[np.searchsorted(updates, ts)])

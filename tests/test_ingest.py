@@ -146,9 +146,12 @@ def test_empty_file_is_parse_error(tmp_path):
 
 
 def test_unknown_format_rejected(tmp_path):
-    for fmt in ("binary_blob", "rails_csv"):
-        with pytest.raises(ValueError, match="format must be one of"):
+    # value_csv is parse_value_trace's format, which parse_trace does not take.
+    for fmt in ("binary_blob", "rails_csv", "value_csv"):
+        with pytest.raises(ValueError) as exc:
             parse_trace(tmp_path / "x.csv", fmt)
+        assert str(exc.value) == \
+            f"format must be one of ('internal_csv', 'external_csv'), got {fmt!r}"
 
 
 def test_negative_values_allowed_where_no_sign_rule(tmp_path):
@@ -324,10 +327,10 @@ def test_timestamp_beyond_int64_is_parse_error(tmp_path):
 
 # format -> the header table parse_trace or parse_value_trace reads it with
 READERS = {
-    "internal": ingest.TRACE_FORMATS["internal_csv"],
-    "external": ingest.TRACE_FORMATS["external_csv"],
-    "external-mw": ingest.TRACE_FORMATS["external_csv"],
-    "current": ingest._VALUE,
+    "internal": ingest.FORMATS["internal_csv"],
+    "external": ingest.FORMATS["external_csv"],
+    "external-mw": ingest.FORMATS["external_csv"],
+    "current": ingest.FORMATS["value_csv"],
 }
 
 
@@ -345,7 +348,7 @@ def read_columns(path, fmt, force_row_loop=False, chunk_lines=None, stdlib=False
         if force_row_loop:
             mp.setattr(np, "loadtxt", _refuse)
         if chunk_lines:
-            mp.setattr(ingest, "_CHUNK_LINES", chunk_lines)
+            mp.setattr(traces, "CHUNK_ROWS", chunk_lines)
         try:
             header, t, values = ingest._read_columns(path, READERS[fmt], stdlib=stdlib)
         except ParseError as exc:
@@ -415,7 +418,7 @@ def test_fast_path_matches_row_loop(tmp_path_factory, fmt, n, data):
     path.write_bytes((newline.join(lines) + ending).encode())
 
     # Chunks of a few lines make the row loop take over mid-file.
-    chunk_lines = data.draw(st.sampled_from([1, 2, 3, ingest._CHUNK_LINES]))
+    chunk_lines = data.draw(st.sampled_from([1, 2, 3, traces.CHUNK_ROWS]))
     rows_only = read_columns(path, fmt, force_row_loop=True)
     for got in (read_columns(path, fmt, chunk_lines=chunk_lines),
                 read_columns(path, fmt, stdlib=True)):
@@ -500,8 +503,10 @@ def test_parse_columns_refuses_what_its_format_does_not_hold(tmp_path):
     path = write_csv(tmp_path / "t.csv", "timestamp_us,current_ma", [(0, 1.5)])
     with pytest.raises(ParseError, match="expected header timestamp_us,power_mw, got"):
         ingest.parse_columns(path, "internal_csv")
-    with pytest.raises(ValueError, match="format must be one of"):
+    with pytest.raises(ValueError) as exc:
         ingest.parse_columns(path, "external_csv")
+    assert str(exc.value) == \
+        "format must be one of ('internal_csv', 'value_csv'), got 'external_csv'"
 
 
 def test_row_loop_takes_over_at_the_chunk_of_the_bad_line(tmp_path, monkeypatch):
@@ -576,9 +581,9 @@ def test_value_trace_accepts_power_header(tmp_path):
 def written(trace, tmp_path, chunk_lines=None):
     """(file bytes, the text of each write) of write_trace(trace)."""
     path = tmp_path / "w.csv"
-    with recording_writes(ingest) as writes, pytest.MonkeyPatch.context() as mp:
+    with recording_writes(traces) as writes, pytest.MonkeyPatch.context() as mp:
         if chunk_lines:
-            mp.setattr(ingest, "_CHUNK_LINES", chunk_lines)
+            mp.setattr(traces, "CHUNK_ROWS", chunk_lines)
         write_trace(trace, path)
     return path.read_bytes(), writes
 
@@ -590,7 +595,7 @@ def written(trace, tmp_path, chunk_lines=None):
        steps=st.lists(st.integers(1, 2**40), min_size=40, max_size=40),
        t0=st.integers(0, 2**62),
        unit=st.sampled_from(["mW", "mA"]),
-       chunk_lines=st.sampled_from([1, 2, 3, ingest._CHUNK_LINES]))
+       chunk_lines=st.sampled_from([1, 2, 3, traces.CHUNK_ROWS]))
 def test_write_matches_per_row_repr(tmp_path_factory, pool, picks, steps, t0, unit,
                                     chunk_lines):
     # Picks into a small pool repeat values both next to each other and apart.
@@ -602,7 +607,7 @@ def test_write_matches_per_row_repr(tmp_path_factory, pool, picks, steps, t0, un
     assert max(text.count("\n") for text in writes) <= chunk_lines
 
 
-@pytest.mark.parametrize("chunk_lines", [1, 2, 3, ingest._CHUNK_LINES])
+@pytest.mark.parametrize("chunk_lines", [1, 2, 3, traces.CHUNK_ROWS])
 def test_signed_zeros_keep_their_own_repr(tmp_path, chunk_lines):
     trace = make_trace(range(8), [0.0, -0.0, -0.0, 0.0, 5e-324, -0.0, 0.0, 5e-324])
     data, _ = written(trace, tmp_path, chunk_lines)
@@ -618,21 +623,21 @@ def test_empty_trace_writes_only_the_header(tmp_path, unit, header):
 
 
 def test_runs_across_chunk_edges_write_one_chunk_at_a_time(tmp_path):
-    trace = make_trace(*chunk_edge_rows(ingest._CHUNK_LINES))
+    trace = make_trace(*chunk_edge_rows(traces.CHUNK_ROWS))
     data, writes = written(trace, tmp_path)
     assert data == oracle_trace_csv(trace)
-    assert [text.count("\n") for text in writes] == [1] + [ingest._CHUNK_LINES] * 3 + [5]
+    assert [text.count("\n") for text in writes] == [1] + [traces.CHUNK_ROWS] * 3 + [5]
 
 
 def test_held_values_write_in_chunks(tmp_path, rng):
     # A record's shape: each node value is re-read for many rows.
-    n = 3 * ingest._CHUNK_LINES + 5
+    n = 3 * traces.CHUNK_ROWS + 5
     ts = np.cumsum(rng.integers(10, 41, n))
     values = np.repeat(rng.uniform(1000.0, 20000.0, n // 300 + 1), 300)[:n]
     trace = make_trace(ts, values)
     data, writes = written(trace, tmp_path)
     assert data == oracle_trace_csv(trace)
-    assert [text.count("\n") for text in writes] == [1] + [ingest._CHUNK_LINES] * 3 + [5]
+    assert [text.count("\n") for text in writes] == [1] + [traces.CHUNK_ROWS] * 3 + [5]
 
 
 # Signed zeros, subnormals, readings near the edge of the float range and
@@ -640,7 +645,7 @@ def test_held_values_write_in_chunks(tmp_path, rng):
 WRITE_VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1.7e308,
                                  -1.7e308, sys.float_info.max, -sys.float_info.max, *TRICKY])
                 | st.floats(allow_nan=False, allow_infinity=False))
-EDGE = traces._WRITE_ROWS
+EDGE = traces.CHUNK_ROWS
 
 
 @settings(max_examples=300, deadline=None)
@@ -654,15 +659,16 @@ EDGE = traces._WRITE_ROWS
          t0=1_700_000_000_000_000, gap=13, unit="mA", chunk_rows=EDGE)
 def test_stdlib_writer_writes_the_bytes_of_write_trace(tmp_path_factory, runs, t0, gap, unit,
                                                        chunk_rows):
-    # With a few rows per chunk, chunks of distinct rows and of held runs
-    # mix, so both ways of formatting a chunk are taken.
+    # Both run finders write at each chunk size. With a few rows per
+    # chunk, chunks of distinct rows and of held runs mix, so the stdlib
+    # finder takes both of its ways.
     values = [v for v, n in runs for _ in range(n)]
     trace = make_trace(range(t0, t0 + gap * len(values), gap), values, unit=unit,
                        source="external" if unit == "mA" else "internal")
     d = tmp_path_factory.mktemp("write")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(traces, "_WRITE_ROWS", chunk_rows)
+        mp.setattr(traces, "CHUNK_ROWS", chunk_rows)
         traces.write_columns(columns_of(trace), d / "columns.csv")
-    write_trace(trace, d / "trace.csv")
+        write_trace(trace, d / "trace.csv")
     assert (d / "columns.csv").read_bytes() == (d / "trace.csv").read_bytes()
     assert (d / "trace.csv").read_bytes() == oracle_trace_csv(trace)

@@ -312,10 +312,10 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-# Signed zeros, subnormals, and readings whose sums and areas pass the
-# float range.
+# Signed zeros, subnormals, readings whose sums and areas pass the float
+# range, and NaN, which a hand-built trace may hold.
 TWIN_VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e305, -1e305, 1.7e308,
-                                -1.7e308])
+                                -1.7e308, math.nan])
                | st.floats(-1e6, 1e6) | st.floats(allow_nan=False, allow_infinity=False))
 
 
@@ -326,6 +326,9 @@ TWIN_VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e305, -1e305, 1.7e3
 @example(values=[-6e307] * 5, gaps=[1] * 8, t0=0, intercept=232.6)
 @example(values=[1.7e308, 1.7e308, -1.7e308, -1.7e308], gaps=[1000] * 8, t0=0,
          intercept=232.6)
+# A leading NaN hides the negative reading after it from min().
+@example(values=[math.nan, 100.0, -1.0], gaps=[1] * 8, t0=0, intercept=232.6)
+@example(values=[100.0, math.nan], gaps=[1] * 8, t0=0, intercept=232.6)
 def test_column_twins_match_apply_and_energy_bit_for_bit(values, gaps, t0, intercept):
     ts = [t0 + sum(gaps[:i]) for i in range(len(values))]
     trace = make_trace(ts, values)

@@ -97,9 +97,9 @@ def test_trace_is_a_copy_of_the_buffer():
        picks=st.lists(st.integers(0, 4), max_size=40),
        steps=st.lists(st.integers(1, 2**40), min_size=40, max_size=40),
        t0=st.integers(0, 2**62),
-       chunk_rows=st.sampled_from([1, 2, 3, traces._WRITE_ROWS]))
+       chunk_rows=st.sampled_from([1, 2, 3, traces.CHUNK_ROWS]))
 @example(maxlen=5, pool=[0.0, -0.0, 5e-324], picks=[0, 1, 1, 0, 2, 1, 0],
-         steps=[1] * 40, t0=0, chunk_rows=traces._WRITE_ROWS)
+         steps=[1] * 40, t0=0, chunk_rows=traces.CHUNK_ROWS)
 def test_written_csv_is_one_repr_per_kept_row(tmp_path_factory, maxlen, pool, picks, steps,
                                               t0, chunk_rows):
     # Picks into a small pool repeat values both next to each other and
@@ -110,17 +110,17 @@ def test_written_csv_is_one_repr_per_kept_row(tmp_path_factory, maxlen, pool, pi
         buffer(sample)
     d = tmp_path_factory.mktemp("record")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(traces, "_WRITE_ROWS", chunk_rows)
+        mp.setattr(traces, "CHUNK_ROWS", chunk_rows)
         buffer.write_csv(d / "buffer.csv")
-    trace = buffer.to_trace("nano")
-    ingest.write_trace(trace, d / "trace.csv")
+        trace = buffer.to_trace("nano")
+        ingest.write_trace(trace, d / "trace.csv")
     assert (d / "buffer.csv").read_bytes() == oracle_trace_csv(trace)
     assert (d / "trace.csv").read_bytes() == oracle_trace_csv(trace)
 
 
 def test_runs_across_chunk_edges_write_one_chunk_at_a_time(tmp_path):
     # Five samples after the buffer is full are dropped and write nothing.
-    ts, values = chunk_edge_rows(traces._WRITE_ROWS)
+    ts, values = chunk_edge_rows(traces.CHUNK_ROWS)
     buffer = sensor.SampleBuffer(len(ts))
     extra = range(ts[-1] + 1, ts[-1] + 6)
     for sample in itertools.chain(map(PowerSample, ts, values),
@@ -130,7 +130,7 @@ def test_runs_across_chunk_edges_write_one_chunk_at_a_time(tmp_path):
         buffer.write_csv(tmp_path / "rec.csv")
     assert buffer.dropped == 5
     assert (tmp_path / "rec.csv").read_bytes() == oracle_trace_csv(make_trace(ts, values))
-    assert [text.count("\n") for text in writes] == [1] + [traces._WRITE_ROWS] * 3 + [5]
+    assert [text.count("\n") for text in writes] == [1] + [traces.CHUNK_ROWS] * 3 + [5]
 
 
 # ── clock ───────────────────────────────────────────────────────────────
