@@ -21,14 +21,31 @@ load numpy, but not `numpy.ma`. `calibrate` and `validate` load
 `sensor` only, which writes its CSV with the stdlib run finder (a
 `replay:` profile also loads `ingest` and numpy to parse what it
 replays). The one CSV writer is traces.write_csv. Only `record --exec`
-loads `subprocess`. Only `record` loads `dataclasses` (about 9 ms, with
+loads `subprocess`. Only `record` loads `dataclasses` (about 7 ms, with
 `inspect`), for `sensor.DeviceProfile`, which the benchmark rebuilds
 with `dataclasses.replace`; the reports are NamedTuples.
+
+A command is one short process, so its fixed costs count. Measured on a
+2-vCPU x86 host with Python 3.11 and numpy 2.4, a fresh process spends
+33-36 ms starting Python with `site`, 53-57 ms importing numpy, where a
+command needs it, and 7-9 ms compiling the jetcal modules it imports when
+no `__pycache__` is written. CPython's exit would then collect and free
+every class, function and module-globals cycle, numpy's too: 10-13 ms
+with numpy loaded and about 4 ms without. `main` skips that teardown: it
+registers `gc.freeze` with `atexit`, once per process, and the handler
+runs before the exit's collections, which pass over frozen objects; the
+OS takes the memory back. Importing this module changes nothing, and an
+in-process `main` leaves the caller's collector as it was until the
+process exits. So cyclic garbage is never finalized at exit, which no
+command needs: every file is closed by a `with` block, and `record
+--exec` waits for its workload.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
@@ -45,13 +62,13 @@ EXIT_DATA = 3
 
 # `apply`, `energy` and `peak` read a regular file of at most this many
 # bytes without numpy. Measured on a 2-vCPU x86 host with Python 3.11 and
-# numpy 2.4: importing numpy costs 66 ms in a fresh process, and the
-# numpy-free parse and integral cost 1.0-2.0 us per row more than
-# np.loadtxt and numpy's, so the two break even at 33k-70k rows, 1.2-1.8 MB
-# of CSV. `apply`'s numpy-free parse, map and write break even with
-# numpy's at 30k-40k rows of distinct 17-digit values, 1.0-1.4 MB. 1 MiB
-# stays at or below these, and keeps the 15-300 KB inputs of the
-# benchmark numpy-free and its 3-9 MB ones on numpy.
+# numpy 2.4: importing numpy costs 53-57 ms in a fresh process whose exit
+# skips the teardown (see main), and the numpy-free parse and integral
+# cost 0.8 us per row more than np.loadtxt and numpy's, the numpy-free
+# parse, map and write 0.9 us per row more than `apply`'s numpy path. So
+# the two break even at 57k-69k rows of distinct 17-digit values, 1.6-1.9
+# MB of CSV. 1 MiB stays below these, and keeps the 15-300 KB inputs of
+# the benchmark numpy-free and its 3-9 MB ones on numpy.
 SMALL_INPUT_BYTES = 1 << 20
 
 
@@ -105,15 +122,24 @@ def _require_writable(*paths) -> None:
             raise ConfigError(f"output directory does not exist for: {p}")
 
 
-def _resolve_model(device: str | None, model_file: str | None):
-    from . import models
+def _device_id(name: str) -> str:
+    """The canonical id of a --device value; a blank one is a usage error."""
     from .traces import canonical_device_id
 
+    try:
+        return canonical_device_id(name)
+    except ValueError as exc:
+        raise ConfigError(f"--device {name!r}: {exc}") from None
+
+
+def _resolve_model(device: str | None, model_file: str | None):
+    from . import models
+
+    canon = None if device is None else _device_id(device)
     if model_file is not None:
         _require_inputs(model_file)
         registry = models.load_models(model_file)
-        if device is not None:
-            canon = canonical_device_id(device)
+        if canon is not None:
             if canon not in registry:
                 raise ConfigError(
                     f"device {device!r} not in {model_file} "
@@ -140,10 +166,9 @@ def _paired_pipeline(args):
     """Shared calibrate/validate front: parse, filter both streams, align."""
     from . import ingest
     from . import signal as sig
-    from .traces import canonical_device_id
 
     _require_inputs(args.internal_csv, args.external_csv)
-    device = canonical_device_id(args.device) if args.device else "unknown"
+    device = "unknown" if args.device is None else _device_id(args.device)
     internal = ingest.parse_trace(args.internal_csv, "internal_csv", device)
     external = ingest.parse_trace(args.external_csv, "external_csv", device,
                                   coil_turns=args.coil_turns)
@@ -414,6 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exit then skips freeing every object one by one (module docstring).
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -66,7 +66,11 @@ class DeviceProfile:
     time_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "device", canonical_device_id(self.device))
+        try:
+            device = canonical_device_id(self.device)
+        except ValueError as exc:
+            raise ProfileError(str(exc)) from None
+        object.__setattr__(self, "device", device)
         object.__setattr__(self, "node_paths", tuple(self.node_paths))
         if self.mode not in MODES:
             raise ProfileError(f"mode must be one of {MODES}, got {self.mode!r}")

@@ -11,7 +11,7 @@ float64 numpy arrays elsewhere. PowerSample is one reading, as the live
 sampler delivers it. Neither is validated: each producer checks what it
 builds, so the timestamps are >= 0 and strictly increase, and the
 values are finite. No type here imports numpy or is a dataclass, whose
-import costs a command about 9 ms: PowerTrace and PairedDataset are
+import costs a command about 7 ms: PowerTrace and PairedDataset are
 immutable slotted classes, equal only to themselves.
 
 write_csv writes every trace CSV. write_columns gives it the stdlib run

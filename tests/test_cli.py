@@ -3,11 +3,14 @@
 Every test calls `cli.main` in-process on files written from
 `synth.synthetic_pair` or shaped like a `record` output, and checks the exit code, the one-line `--json`
 output and, for failures, the single `error: ...` line on stderr. The
-import budgets alone run in a fresh interpreter, whose `sys.modules` is
-not the test process's.
+import budgets and the exit-time freeze run in a fresh interpreter, whose
+`sys.modules` and exit are not the test process's; those runs also check
+that a fresh process prints and writes what an in-process call does.
 """
 
 import functools
+import gc
+import itertools
 import json
 import os
 import signal
@@ -323,6 +326,26 @@ def test_unknown_device_exits_config(capsys, files, tmp_path):
     assert_one_error_line(err, "unknown device 'pluto'")
 
 
+@pytest.mark.parametrize("device", [" ", ""], ids=["space", "empty"])
+@pytest.mark.parametrize("command", ["calibrate", "validate", "validate-model", "apply",
+                                     "energy"])
+def test_blank_device_exits_config(capsys, files, tmp_path, command, device):
+    """A blank --device is a usage error, with or without a model file."""
+    pair = (files / "internal.csv", files / "external.csv")
+    out = tmp_path / "x.out"
+    argv = {
+        "calibrate": ("calibrate", *pair, "--out-model", out),
+        "validate": ("validate", *pair),
+        "validate-model": ("validate", *pair, "--model", two_model_file(tmp_path)),
+        "apply": ("apply", files / "internal.csv", "--out", out),
+        "energy": ("energy", files / "internal.csv"),
+    }[command]
+    rc, printed, err = run(capsys, *argv, "--device", device)
+    assert (rc, printed) == (cli.EXIT_CONFIG, "")
+    assert_one_error_line(err, f"--device {device!r}: device id must be non-empty")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["energy", "apply"])
 def test_the_model_is_resolved_before_the_input_is_parsed(capsys, tmp_path, command):
     bad = tmp_path / "bad.csv"
@@ -385,14 +408,17 @@ def test_undecodable_profile_exits_config(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("lines, message", [
-    (("mode = both", "node_paths = a"),
+    (("device = nano", "mode = both", "node_paths = a"),
      "mode must be one of ('whole_board', 'sum_rails'), got 'both'"),
-    (("mode = whole_board", "node_paths = a", "unit = kw"), "unit must be one of ('mw', 'uw')"),
-    (("mode = whole_board", "node_paths = ,"), "profile needs at least one node path"),
-], ids=["mode", "unit", "no-node-path"])
+    (("device = nano", "mode = whole_board", "node_paths = a", "unit = kw"),
+     "unit must be one of ('mw', 'uw')"),
+    (("device = nano", "mode = whole_board", "node_paths = ,"),
+     "profile needs at least one node path"),
+    (("device = ", "mode = whole_board", "node_paths = a"), "device id must be non-empty"),
+], ids=["mode", "unit", "no-node-path", "blank-device"])
 def test_invalid_profile_exits_config(capsys, tmp_path, lines, message):
     profile = tmp_path / "bad.profile"
-    profile.write_text("".join(f"{line}\n" for line in ("device = nano", *lines)))
+    profile.write_text("".join(f"{line}\n" for line in lines))
     rc, out, err = run(capsys, "record", "--profile", profile, "--duration", 0.01,
                        "--out", tmp_path / "r.csv")
     assert (rc, out) == (cli.EXIT_CONFIG, "")
@@ -1227,23 +1253,74 @@ def test_peak_loads_only_what_it_runs(files):
 
 
 @pytest.mark.parametrize("command", ["calibrate", "validate"])
-def test_calibrate_and_validate_load_only_what_they_run(files, command):
+def test_calibrate_and_validate_load_only_what_they_run(capsys, files, tmp_path, command):
+    model = tmp_path / "fitted.model"
     argv = [command, str(files / "internal.csv"), str(files / "external.csv"),
-            "--device", "nano", "--coil-turns", str(COIL_TURNS)]
-    loaded = run_fresh_cli(argv)[1]
+            "--device", "nano", "--coil-turns", str(COIL_TURNS), "--json"]
+    if command == "calibrate":
+        argv += ["--out-model", str(model)]
+    printed, loaded = run_fresh_cli(argv)
     assert {"numpy", "jetcal.ingest", "jetcal.models", "jetcal.signal",
             "jetcal.regression"} <= loaded
     assert not {"dataclasses", "jetcal.sensor", "subprocess"} & loaded
+    # A fresh process prints and writes what an in-process call does.
+    written = model.exists() and model.read_bytes()
+    model.unlink(missing_ok=True)
+    assert run(capsys, *argv) == (0, "".join(f"{line}\n" for line in printed), "")
+    assert (model.exists() and model.read_bytes()) == written
+    assert bool(written) == (command == "calibrate")
 
 
-def test_record_loads_only_what_it_runs(tmp_path):
+# A clock that advances 1 ms per read from a fixed epoch, so that a record
+# writes the same file in any process.
+FIXED_CLOCK_NS = 10**18
+
+
+def test_record_loads_only_what_it_runs(capsys, monkeypatch, tmp_path):
     profile, out_csv = file_node_profile(tmp_path, "4321\n"), tmp_path / "rec.csv"
-    loaded = loaded_modules(
-        f"import jetcal.cli; assert jetcal.cli.main(['record', '--profile', "
-        f"{str(profile)!r}, '--duration', '0.05', '--out', {str(out_csv)!r}]) == 0")
+    argv = ["record", "--profile", str(profile), "--duration", "0.05", "--out", str(out_csv)]
+    printed, loaded = run_fresh(
+        f"import itertools, time\nimport jetcal.cli, jetcal.sensor\n"
+        f"time.monotonic_ns = itertools.count({FIXED_CLOCK_NS}, 10**6).__next__\n"
+        f"jetcal.sensor._EPOCH_OFFSET_NS = 0\n"
+        f"assert jetcal.cli.main({argv!r}) == 0")
     # sensor.DeviceProfile is the one dataclass left: the benchmark rebuilds
     # a profile with dataclasses.replace.
     assert {"jetcal.sensor", "dataclasses"} <= loaded
     assert not {"numpy", "jetcal.ingest", "jetcal.models", "jetcal.regression",
                 "jetcal.signal", "subprocess"} & loaded
+    written = out_csv.read_bytes()
     assert len(ingest.parse_trace(out_csv, "internal_csv")) > 0
+    # In process, on the same clock, record prints and writes the same.
+    out_csv.unlink()
+    monkeypatch.setattr(sensor.time, "monotonic_ns",
+                        itertools.count(FIXED_CLOCK_NS, 10**6).__next__)
+    monkeypatch.setattr(sensor, "_EPOCH_OFFSET_NS", 0)
+    assert run(capsys, *argv) == (0, "".join(f"{line}\n" for line in printed), "")
+    assert out_csv.read_bytes() == written
+
+
+def test_a_command_process_freezes_its_objects_before_it_exits(tmp_path):
+    """main registers gc.freeze with atexit once, however often it runs, so
+    a hook registered before main runs after the one freeze."""
+    path, seen = tmp_path / "p.csv", tmp_path / "seen"
+    path.write_text("timestamp_us,power_mw\n0,1000.0\n1000,2000.0\n")
+    printed = run_fresh(
+        f"import atexit, gc\n"
+        f"calls, freeze = [], gc.freeze\n"
+        f"gc.freeze = lambda: calls.append(freeze())\n"
+        f"def hook():\n"
+        f"    with open({str(seen)!r}, 'w') as fh:\n"
+        f"        fh.write(f'{{len(calls)}} {{gc.get_freeze_count() > 0}}')\n"
+        f"atexit.register(hook)\n"
+        f"import jetcal.cli\n"
+        f"for _ in range(2):\n"
+        f"    assert jetcal.cli.main(['energy', {str(path)!r}, '--json']) == 0\n"
+        f"    print(gc.get_freeze_count())")[0]
+    assert printed[1::2] == ["0", "0"]
+    assert seen.read_text() == "1 True"
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(capsys, files):
+    assert run(capsys, "energy", files / "internal.csv")[0] == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
