@@ -29,8 +29,10 @@ A command is one short process, so its fixed costs count. Measured on a
 2-vCPU x86 host with Python 3.11 and numpy 2.4, a fresh process spends
 33-36 ms starting Python with `site`, 53-57 ms importing numpy, where a
 command needs it, and 7-9 ms compiling the jetcal modules it imports when
-no `__pycache__` is written. CPython's exit would then collect and free
-every class, function and module-globals cycle, numpy's too: 10-13 ms
+no `__pycache__` is written. numpy's path opener, which reads the rest
+of a long held file (see ingest), imports `gzip` on its first call,
+about 0.5 ms. CPython's exit would then collect and free every class,
+function and module-globals cycle, numpy's too: 10-13 ms
 with numpy loaded and about 4 ms without. `main` skips that teardown: it
 registers `gc.freeze` with `atexit`, once per process, and the handler
 runs before the exit's collections, which pass over frozen objects; the

@@ -30,13 +30,15 @@ loadtxt reads its value cells as text, and each run of identical text is
 converted once with the row loop's float(). A file holding a NUL byte
 never takes the fast path, since the text cells drop trailing NULs, and
 a held chunk with a cell too wide for its text width is read again as
-floats.
+floats. After a held first chunk, one np.loadtxt call on the path reads
+the rest of a long file, and the chunk loop reads what it declines.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import sys
 import warnings
 from array import array
@@ -73,6 +75,9 @@ _MAX = sys.float_info.max
 # float's repr() takes at most 24 characters.
 _HELD_CELLS = 16
 _CELL_BYTES = 32
+# The fewest lines, in chunks, after a held first chunk that _held_rest
+# reads in one call (measurement in _loadtxt_body).
+_REST_CHUNKS = 2
 
 
 def power_from_channels(timestamps_us, volts, clamp_a,
@@ -231,6 +236,16 @@ def _loadtxt_body(path, fh, header, signs, line):
     identical text once with float(), the row loop's own conversion. A
     held chunk with a cell that fills those bytes, which loadtxt may have
     cut, is read again as floats.
+
+    After a held first chunk, _held_rest reads the rest in one np.loadtxt
+    call on the absolute path, whose block reader makes no str per line.
+    It first counts the file's commas and newlines, and leaves `fh` to the
+    chunk loop for a name numpy would decompress (.gz, .bz2, .xz, .lzma),
+    for commas not k per newline (a torn or blank line), for a rest under
+    _REST_CHUNKS chunks (on 2-vCPU x86 one breaks even, before numpy first
+    imports gzip), and for a rest that fails to parse or breaks a rule,
+    which is then parsed twice. A file that is not held never pays the
+    count.
     """
     import numpy as np
 
@@ -259,16 +274,45 @@ def _loadtxt_body(path, fh, header, signs, line):
             line += len(lines)
             prev = int(rows["t"][-1]) if len(rows) else prev
             held = _HELD_CELLS * np.count_nonzero(values[1:] != values[:-1]) <= values.size
+            if held and len(parts) == 2 and (rest := _held_rest(path, k, line - 1, signs, prev)):
+                parts.append(rest)
+                break
     ts, values = zip(*parts)
     return np.concatenate(ts), np.concatenate(values)
 
 
-def _loadtxt(lines, k, cell):
-    """A chunk's rows: an int64 timestamp "t" and k value cells "v" of dtype `cell`."""
+def _held_rest(path, k, skip, signs, prev):
+    """Columns of a held file's lines after the first `skip`, by one np.loadtxt
+    call on its path, or None to leave them to the chunk loop (_loadtxt_body)."""
+    import numpy as np
+
+    path = os.path.abspath(os.fsdecode(path))   # so that numpy never takes it for a URL
+    if path.endswith((".gz", ".bz2", ".xz", ".lzma")):   # which numpy would decompress
+        return None
+    commas = newlines = 0
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            block = np.frombuffer(block, np.uint8)
+            commas += np.count_nonzero(block == ord(","))
+            newlines += np.count_nonzero(block == ord("\n"))
+    if commas != k * newlines or newlines - skip < _REST_CHUNKS * traces.CHUNK_ROWS:
+        return None
+    try:
+        rows = _loadtxt(path, k, f"S{_CELL_BYTES}", skiprows=skip)
+        values = _held_values(rows["v"])
+    except ValueError:
+        return None
+    if values is None or _first_bad_row(rows["t"], values, signs, prev) is not None:
+        return None
+    return rows["t"].copy(), values
+
+
+def _loadtxt(lines, k, cell, skiprows=0):
+    """Rows of a chunk, or of a path after `skiprows` lines: int64 "t", k `cell`s "v"."""
     import numpy as np
 
     # comments=None: the default "#" would take "2.5 # x", which float() rejects.
-    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, skiprows=skiprows,
                       dtype=[("t", np.int64), ("v", cell, (k,))])
 
 

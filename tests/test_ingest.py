@@ -376,17 +376,32 @@ SPECIAL = {0: ["-0", "007", str(2**63 - 1), str(2**63), str(2**64 + 5), "1e3", "
 LEVELS = ["1500.25", "0.0", "2.5", "1e3", "7"]
 
 
+def test_fast_path_matches_row_loop(tmp_path_factory, monkeypatch):
+    # Both branches of the held rest's path read must be drawn: it reads
+    # the rest after the first chunk, or declines it to the chunk loop.
+    branches = []
+    held_rest = ingest._held_rest
+    monkeypatch.setattr(ingest, "_held_rest", lambda *args: branches.append(
+        rest := held_rest(*args)) or rest)
+    check_fast_path_matches_row_loop(tmp_path_factory)
+    assert any(rest is None for rest in branches)
+    assert any(rest is not None for rest in branches)
+
+
 @settings(max_examples=400, deadline=None)
-@given(fmt=st.sampled_from(sorted(FORMATS)), n=st.integers(0, 12), data=st.data())
-def test_fast_path_matches_row_loop(tmp_path_factory, fmt, n, data):
+@given(fmt=st.sampled_from(sorted(FORMATS)), n=st.integers(0, 24), data=st.data())
+def check_fast_path_matches_row_loop(tmp_path_factory, fmt, n, data):
     header, _, make_row = FORMATS[fmt]
     kinds = dict(KINDS)
     if fmt in SIGNED:
         kinds[SIGNED[fmt][0]] = SIGNED[fmt][1:]
     clean = [make_row(1000 * (i + 1)) for i in range(n)]
     level = 0
-    for row, step in zip(clean, data.draw(st.lists(st.booleans(), min_size=n, max_size=n))):
-        level += step
+    # Half the files hold each value for about eight rows, as a recorded
+    # trace does, so that their first chunk is held.
+    step = data.draw(st.sampled_from([st.booleans(), st.integers(0, 7).map(lambda i: i == 0)]))
+    for row, change in zip(clean, data.draw(st.lists(step, min_size=n, max_size=n))):
+        level += change
         row[1:] = [LEVELS[(level + j) % len(LEVELS)] for j in range(len(row) - 1)]
     rows = [list(row) for row in clean]
     row_index = st.integers(0, max(n - 1, 0))
@@ -408,12 +423,15 @@ def test_fast_path_matches_row_loop(tmp_path_factory, fmt, n, data):
             if col < len(rows[i]):
                 rows[i][col] = SPECIAL[min(col, 1)][pick]
     lines = [header] + [",".join(row) for row in rows]
+    # Half the files end each line with a newline and hold no blank line,
+    # so that the held rest's path read does not decline them for that.
+    regular = data.draw(st.booleans())
     for at, text in data.draw(st.lists(st.tuples(st.integers(1, len(lines)),
                                                  st.sampled_from(["", "", " ", "\t"])),
-                                       max_size=3)):
+                                       max_size=0 if regular else 3)):
         lines.insert(at, text)
-    newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    ending = data.draw(st.sampled_from([newline, ""]))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"] + ([] if regular else ["\r"])))
+    ending = data.draw(st.sampled_from([newline] + ([] if regular else [""])))
     path = tmp_path_factory.mktemp("fast") / "t.csv"
     path.write_bytes((newline.join(lines) + ending).encode())
 
@@ -454,35 +472,132 @@ def test_clean_files_take_the_fast_path(tmp_path, monkeypatch, fmt, n, newline):
 
 HELD = np.repeat([1000.5, 2000.25, 0.0, 1.5e4, 3.0], 50)   # 250 rows, runs of 50
 TEXT, FLOAT = np.dtype(f"S{ingest._CELL_BYTES}"), np.dtype(np.float64)
+WIDE = "0" * ingest._CELL_BYTES + "15000.0"
 
 
-@pytest.mark.parametrize("values, cells, dtypes", [
-    (HELD, {}, [FLOAT] + [TEXT] * 3),
-    (1000.5 + np.arange(250.0), {}, [FLOAT] * 4),
-    # A cell that fills the text width may have been cut: its chunk is read again.
-    (HELD, {150: "0" * ingest._CELL_BYTES + "15000.0"}, [FLOAT, TEXT, TEXT, FLOAT, TEXT]),
-    (HELD, {150: "15000.0\x00"}, []),
-], ids=["held", "distinct", "wide-cell", "nul"])
-def test_held_chunks_are_read_as_text(tmp_path, monkeypatch, values, cells, dtypes):
+def held_file(path, values, cells):
+    """A timestamp_us,power_mw file of rows (t, repr(values[t])), with the
+    value cells of some rows replaced."""
     rows = [f"{t},{v!r}" for t, v in enumerate(values.tolist())]
     for i, cell in cells.items():
         rows[i] = f"{i},{cell}"
-    path = tmp_path / "held.csv"
     path.write_text("\n".join(["timestamp_us,power_mw"] + rows) + "\n")
-    expected = read_columns(path, "internal", force_row_loop=True)
+    return path
+
+
+def spy_loadtxt(monkeypatch):
+    """The np.loadtxt calls: the value dtype of a chunk's call, and
+    (dtype, skiprows) of a call on a path."""
     seen = []
     loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda lines, **kwargs: seen.append(
-        np.dtype(kwargs["dtype"])["v"].base) or loadtxt(lines, **kwargs))
-    got = read_columns(path, "internal", chunk_lines=64)
+
+    def spy(lines, **kwargs):
+        dtype = np.dtype(kwargs["dtype"])["v"].base
+        seen.append((dtype, kwargs["skiprows"]) if isinstance(lines, str) else dtype)
+        return loadtxt(lines, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return seen
+
+
+def assert_same_columns(got, expected):
+    """The (header, t, values) of two reads agree, values bit for bit."""
+    assert len(got) == 3 and got[0] == expected[0] and np.array_equal(got[1], expected[1])
+    assert np.array_equal(got[2].view(np.int64), expected[2].view(np.int64))
+
+
+# With 100-line chunks the rest after the first is shorter than
+# _REST_CHUNKS chunks, so the chunk loop reads all of it; with 64-line
+# chunks one np.loadtxt call on the path reads the rest, after the header
+# and the first chunk's 64 lines.
+@pytest.mark.parametrize("values, cells, chunk_lines, dtypes", [
+    (HELD, {}, 100, [FLOAT, TEXT, TEXT]),
+    (1000.5 + np.arange(250.0), {}, 100, [FLOAT] * 3),
+    # A cell that fills the text width may have been cut: its chunk is read again.
+    (HELD, {150: WIDE}, 100, [FLOAT, TEXT, FLOAT, TEXT]),
+    (HELD, {150: "15000.0\x00"}, 100, []),
+    (HELD, {}, 64, [FLOAT, (TEXT, 65)]),
+    (1000.5 + np.arange(250.0), {}, 64, [FLOAT] * 4),
+], ids=["held", "distinct", "wide-cell", "nul", "held-rest", "distinct-rest"])
+def test_held_chunks_are_read_as_text(tmp_path, monkeypatch, values, cells, chunk_lines,
+                                      dtypes):
+    path = held_file(tmp_path / "held.csv", values, cells)
+    expected = read_columns(path, "internal", force_row_loop=True)
+    seen = spy_loadtxt(monkeypatch)
+    got = read_columns(path, "internal", chunk_lines=chunk_lines)
     assert seen == dtypes
     if cells.get(150, "").endswith("\x00"):
         assert got == expected == (152, f"{path}:152: power_mw value '15000.0\\x00' "
                                          "is not numeric")
     else:
-        assert got[0] == expected[0] and np.array_equal(got[1], expected[1])
-        assert np.array_equal(got[2].view(np.int64), expected[2].view(np.int64))
+        assert_same_columns(got, expected)
         assert got[2][:, 0].tolist() == values.tolist()
+
+
+# Corruptions of row i of a held file, by kind. A short row alone leaves
+# the file a comma short of one per line, so the path read is never tried;
+# a long last row makes up that comma, and np.loadtxt rejects the rest.
+HELD_REST_FAULTS = {
+    "short-row": lambda i: f"{i}",
+    "short-then-long-row": lambda i: f"{i}",
+    "out-of-order": lambda i: f"{i - 2},3.0",
+    "duplicate": lambda i: f"{i - 1},3.0",
+    "non-numeric": lambda i: f"{i},abc",
+    "inf": lambda i: f"{i},inf",
+    "non-integer": lambda i: f"{i}.5,3.0",
+    "wide-cell": lambda i: f"{i},{WIDE}",
+}
+
+
+@pytest.mark.parametrize("at", [16, 130, 249], ids=["first-rest-row", "mid-rest", "last-row"])
+@pytest.mark.parametrize("kind", sorted(HELD_REST_FAULTS))
+def test_a_fault_in_a_held_rest_reads_as_the_row_loop_does(tmp_path, monkeypatch, kind, at):
+    # Each row's value cell is 3.0 from row 200 on, so a duplicate row near
+    # the end is held too.
+    lines = ["timestamp_us,power_mw"] + [
+        f"{i},{1000.5 if i < 200 else 3.0!r}" for i in range(250)]
+    lines[1 + at] = HELD_REST_FAULTS[kind](at)
+    if kind == "short-then-long-row":
+        lines.append("250,3.0,3.0")
+    path = tmp_path / "held.csv"
+    path.write_text("\n".join(lines) + "\n")
+    expected = read_columns(path, "internal", force_row_loop=True)
+    seen = spy_loadtxt(monkeypatch)
+    got = read_columns(path, "internal", chunk_lines=16)
+    # The path read declined the rest after the first chunk, and the chunk
+    # loop read on from the first chunk's end.
+    assert seen[0] == FLOAT and any(not isinstance(call, tuple) for call in seen[1:])
+    assert ((TEXT, 17) in seen) == (kind != "short-row") == (seen[1] == (TEXT, 17))
+    if kind == "wide-cell":
+        assert_same_columns(got, expected)
+        assert got[2][at, 0] == 15000.0
+    else:
+        assert len(expected) == 2 and expected[0] == at + 2
+        assert got == expected
+
+
+def test_a_held_file_named_as_compressed_is_read_as_text(tmp_path, monkeypatch):
+    # numpy's opener would decompress a ".gz" path: the chunk loop reads it.
+    path = held_file(tmp_path / "trace.csv.gz", HELD, {})
+    expected = read_columns(path, "internal", force_row_loop=True)
+    seen = spy_loadtxt(monkeypatch)
+    got = read_columns(path, "internal", chunk_lines=16)
+    assert seen == [FLOAT] + [TEXT] * 15
+    assert_same_columns(got, expected)
+
+
+@pytest.mark.skipif(os.name == "nt", reason="':' in a file name")
+def test_a_held_path_that_reads_as_a_url_is_read_from_the_file(tmp_path, monkeypatch):
+    (tmp_path / "x:").mkdir()
+    held_file(tmp_path / "x:" / "t.csv", HELD, {})
+    monkeypatch.chdir(tmp_path)
+    expected = read_columns("x://t.csv", "internal", force_row_loop=True)
+    seen = spy_loadtxt(monkeypatch)
+    got = read_columns("x://t.csv", "internal", chunk_lines=16)
+    assert seen == [FLOAT, (TEXT, 17)]
+    assert_same_columns(got, expected)
+    # Taken for a URL, the path would have made numpy try to fetch it and
+    # leave a file in the working directory.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x:"]
 
 
 @pytest.mark.parametrize("fmt", ["internal", "current"])
